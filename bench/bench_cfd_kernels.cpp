@@ -546,23 +546,25 @@ int Fail(const std::string& msg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_cfd.json";
+  const char* const kUsage =
+      " (usage: [--smoke] [--out PATH] [--steps N] [--threads N])";
+  bench::BenchFlags flags;
+  flags.out_path = "BENCH_cfd.json";
+  if (!bench::TakeBenchFlags(argc, argv, flags)) {
+    return Fail(std::string("--out needs a path") + kUsage);
+  }
+  const bool smoke = flags.smoke;
+  const std::string& out_path = flags.out_path;
   int steps_override = 0;
   unsigned threads_override = 0;
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && a + 1 < argc) {
-      out_path = argv[++a];
-    } else if (arg == "--steps" && a + 1 < argc) {
+    if (arg == "--steps" && a + 1 < argc) {
       steps_override = std::atoi(argv[++a]);
     } else if (arg == "--threads" && a + 1 < argc) {
       threads_override = static_cast<unsigned>(std::atoi(argv[++a]));
     } else {
-      return Fail("unknown argument: " + arg +
-                  " (usage: [--smoke] [--out PATH] [--steps N] [--threads N])");
+      return Fail("unknown argument: " + arg + kUsage);
     }
   }
 

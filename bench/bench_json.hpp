@@ -20,6 +20,10 @@
 // via std::abort) on gross misuse such as unbalanced End calls, which is
 // acceptable for bench drivers where a malformed artifact must never be
 // written silently.
+//
+// The header also holds the flags every artifact-writing bench accepts
+// (TakeBenchFlags): `--smoke` for a short run that still writes a complete
+// artifact, and `--out PATH` for where it goes.
 #pragma once
 
 #include <cmath>
@@ -31,6 +35,32 @@
 #include <vector>
 
 namespace xg::bench {
+
+/// The flags shared by every bench that writes an artifact.
+struct BenchFlags {
+  bool smoke = false;
+  std::string out_path;  ///< preset to the bench's default artifact name
+};
+
+/// Consume `--smoke` and `--out PATH` from argv, compacting the remaining
+/// arguments in place (argv[0] kept, argc updated) so the bench can parse
+/// or forward the rest. Returns false when `--out` has no path.
+inline bool TakeBenchFlags(int& argc, char** argv, BenchFlags& flags) {
+  int kept = 1;
+  for (int a = 1; a < argc; ++a) {
+    const std::string arg = argv[a];
+    if (arg == "--smoke") {
+      flags.smoke = true;
+    } else if (arg == "--out") {
+      if (a + 1 >= argc) return false;
+      flags.out_path = argv[++a];
+    } else {
+      argv[kept++] = argv[a];
+    }
+  }
+  argc = kept;
+  return true;
+}
 
 class JsonWriter {
  public:

@@ -6,10 +6,18 @@
 // through the shared emitter into BENCH_micro.json so regression tooling
 // gets the same machine-readable artifact as the other bench drivers
 // without needing --benchmark_out flags.
+//
+// Usage:
+//   bench_micro [--smoke] [--out PATH] [--benchmark_* flags]
+//
+// --smoke runs every benchmark for a minimum of 10 ms (instead of the
+// library's 0.5 s), so the whole artifact is written in about a second.
 #include <benchmark/benchmark.h>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench/bench_json.hpp"
 
@@ -193,11 +201,25 @@ int WriteArtifact(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The shared bench flags come off argv before google-benchmark parses it,
+  // which rejects any flag it does not know.
+  xg::bench::BenchFlags flags;
+  flags.out_path = "BENCH_micro.json";
+  if (!xg::bench::TakeBenchFlags(argc, argv, flags)) {
+    std::cerr << "bench_micro: --out needs a path (usage: [--smoke] "
+                 "[--out PATH] [--benchmark_* flags])\n";
+    return 1;
+  }
+  std::vector<char*> args(argv, argv + argc);
+  // A bare number of seconds: the flag format every library version reads.
+  std::string smoke_min_time = "--benchmark_min_time=0.01";
+  if (flags.smoke) args.insert(args.begin() + 1, smoke_min_time.data());
+  int nargs = static_cast<int>(args.size());
+  benchmark::Initialize(&nargs, args.data());
+  if (benchmark::ReportUnrecognizedArguments(nargs, args.data())) return 1;
   CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  const int rc = WriteArtifact(reporter.collected(), "BENCH_micro.json");
+  const int rc = WriteArtifact(reporter.collected(), flags.out_path);
   benchmark::Shutdown();
   return rc;
 }

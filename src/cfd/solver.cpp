@@ -1,6 +1,7 @@
 #include "cfd/solver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
@@ -35,6 +36,60 @@ struct SumCount {
 SumCount CombineSumCount(SumCount a, SumCount b) {
   return {a.sum + b.sum, a.n + b.n};
 }
+
+/// Below this many interior cells the pressure solve stays on the calling
+/// thread even with a pool attached: a colour sweep is then ~20 us of work
+/// or less, and splitting it no longer pays for the barrier rounds and the
+/// skew between workers (on a 4-core VM a 2-worker solve broke even near
+/// 6k cells and lost at 4k; the 48x40x12 fabric mesh has 17.5k).
+constexpr uint64_t kMinPooledSorCells = 8192;
+
+/// One shell-row span of a red-black sweep: cells first, first + 2, ...,
+/// up to last, all with interior x neighbours, and a diagonal `ap` that is
+/// constant along the row.
+struct ShellRow {
+  double* p;
+  const double* div;
+  size_t first, last, sy, sz;
+  double cx, cy, cz, ap, omega;
+};
+
+/// Which y/z neighbours of a shell row are interior cells.
+constexpr unsigned kShellYm = 1, kShellYp = 2, kShellZm = 4, kShellZp = 8;
+
+/// The general-cell update for a shell-row span with its neighbour set
+/// fixed at compile time: the same accumulation order and the same
+/// (sum - div) / ap and (1 - omega) p + omega p_gs arithmetic, so results
+/// are bit-identical to the per-cell form, without its per-cell branches
+/// and index arithmetic.
+template <unsigned kMask>
+void ShellSpan(const ShellRow& r) {
+  double* XG_RESTRICT p = r.p;
+  const double* XG_RESTRICT div = r.div;
+  for (size_t c = r.first; c <= r.last; c += 2) {
+    double sum = 0.0;
+    sum += r.cx * p[c - 1];
+    sum += r.cx * p[c + 1];
+    if constexpr ((kMask & kShellYm) != 0) sum += r.cy * p[c - r.sy];
+    if constexpr ((kMask & kShellYp) != 0) sum += r.cy * p[c + r.sy];
+    if constexpr ((kMask & kShellZm) != 0) sum += r.cz * p[c - r.sz];
+    if constexpr ((kMask & kShellZp) != 0) sum += r.cz * p[c + r.sz];
+    const double p_gs = (sum - div[c]) / r.ap;
+    p[c] = (1.0 - r.omega) * p[c] + r.omega * p_gs;
+  }
+}
+
+using ShellSpanFn = void (*)(const ShellRow&);
+
+template <unsigned... kMasks>
+constexpr std::array<ShellSpanFn, sizeof...(kMasks)> MakeShellSpans(
+    std::integer_sequence<unsigned, kMasks...>) {
+  return {&ShellSpan<kMasks>...};
+}
+
+/// ShellSpan for each of the 16 neighbour sets, indexed by mask.
+constexpr std::array<ShellSpanFn, 16> kShellSpans =
+    MakeShellSpans(std::make_integer_sequence<unsigned, 16>{});
 }  // namespace
 
 Solver::Solver(const Mesh& mesh, SolverParams params, ThreadPool* pool)
@@ -351,86 +406,127 @@ void Solver::SolvePressure(StepStats& stats) {
   {
     obs::KernelScope ks(timer_, "sor");
 
-    // RHS: divergence of the provisional velocity / dt.
-    {
-      const double* XG_RESTRICT u = cur_.u.data();
-      const double* XG_RESTRICT v = cur_.v.data();
-      const double* XG_RESTRICT w = cur_.w.data();
-      ForSlabs([&](int kb, int ke) {
-        for (int k = kb; k < ke; ++k) {
-          for (int j = 1; j < ny - 1; ++j) {
-            size_t c = mesh_.Index(1, j, k);
-            for (int i = 1; i < nx - 1; ++i, ++c) {
-              div[c] = ((u[c + sx] - u[c - sx]) * idx2 +
-                        (v[c + sy] - v[c - sy]) * idy2 +
-                        (w[c + sz] - w[c - sz]) * idz2) /
-                       dt;
-            }
-          }
-        }
-      });
-    }
-
     // Red-black SOR. Outflow lateral faces carry Dirichlet p = 0 ghosts (an
     // all-Neumann problem would be singular); inflow, ground, and top faces
     // are Neumann. Cells whose six neighbors are all interior share one
     // constant diagonal, so the bulk of each sweep runs a branch-free
-    // stride-2 span multiplying by the precomputed reciprocal diagonal;
-    // only the one-cell shell next to the boundary takes the general
-    // wind-dependent form (where the division also guards ap == 0).
+    // stride-2 span multiplying by the precomputed reciprocal diagonal.
+    // Shell rows (next to a y or z face, or every row when nx < 6) run the
+    // row-constant span (ShellSpan) with the diagonal and neighbour set of
+    // the row; only the two row ends take the general wind-dependent form
+    // (where the division also guards ap == 0).
     const double ap_core = cx + cx + cy + cy + cz + cz;
     const double inv_ap_core = 1.0 / ap_core;
-    for (int iter = 0; iter < params_.poisson_iters; ++iter) {
-      for (int color = 0; color < 2; ++color) {
-        const auto general_cell = [&](int i, int j, int k) {
-          const size_t c = mesh_.Index(i, j, k);
-          double ap = 0.0, sum = 0.0;
-          // x- neighbor
-          if (i > 1) { ap += cx; sum += cx * p[c - sx]; }
-          else if (wx <= 0) { ap += cx; }  // Dirichlet ghost p=0 (outflow)
-          if (i < nx - 2) { ap += cx; sum += cx * p[c + sx]; }
-          else if (wx >= 0) { ap += cx; }
-          if (j > 1) { ap += cy; sum += cy * p[c - sy]; }
-          else if (wy <= 0) { ap += cy; }
-          if (j < ny - 2) { ap += cy; sum += cy * p[c + sy]; }
-          else if (wy >= 0) { ap += cy; }
-          if (k > 1) { ap += cz; sum += cz * p[c - sz]; }
-          if (k < nz - 2) { ap += cz; sum += cz * p[c + sz]; }
-          if (ap <= 0.0) return;
-          const double p_gs = (sum - div[c]) / ap;
-          p[c] = (1.0 - omega) * p[c] + omega * p_gs;
-        };
-        ForSlabs([&](int kb, int ke) {
-          for (int k = kb; k < ke; ++k) {
-            const bool k_edge = k == 1 || k == nz - 2;
-            for (int j = 1; j < ny - 1; ++j) {
-              // Cells of this color satisfy (i & 1) == par.
-              const int par = (color ^ ((j + k) & 1)) & 1;
-              if (k_edge || j == 1 || j == ny - 2 || nx < 6) {
-                for (int i = 2 - par; i < nx - 1; i += 2) {
-                  general_cell(i, j, k);
-                }
-                continue;
-              }
-              if (par == 1) general_cell(1, j, k);
-              const int ic = par == 0 ? 2 : 3;
-              size_t c = mesh_.Index(ic, j, k);
-              for (int i = ic; i <= nx - 3; i += 2, c += 2) {
-                // Neighbors of a red cell are all black (and vice versa),
-                // so they are loop-invariant within the sweep: pair the
-                // opposite faces before scaling.
-                const double sum = cx * (p[c - sx] + p[c + sx]) +
-                                   cy * (p[c - sy] + p[c + sy]) +
-                                   cz * (p[c - sz] + p[c + sz]);
-                p[c] += omega * ((sum - div[c]) * inv_ap_core - p[c]);
-              }
-              if (((nx - 2) & 1) == par) general_cell(nx - 2, j, k);
-            }
-          }
-        });
+    const auto general_cell = [&](int i, int j, int k) {
+      const size_t c = mesh_.Index(i, j, k);
+      double ap = 0.0, sum = 0.0;
+      // x- neighbor
+      if (i > 1) { ap += cx; sum += cx * p[c - sx]; }
+      else if (wx <= 0) { ap += cx; }  // Dirichlet ghost p=0 (outflow)
+      if (i < nx - 2) { ap += cx; sum += cx * p[c + sx]; }
+      else if (wx >= 0) { ap += cx; }
+      if (j > 1) { ap += cy; sum += cy * p[c - sy]; }
+      else if (wy <= 0) { ap += cy; }
+      if (j < ny - 2) { ap += cy; sum += cy * p[c + sy]; }
+      else if (wy >= 0) { ap += cy; }
+      if (k > 1) { ap += cz; sum += cz * p[c - sz]; }
+      if (k < nz - 2) { ap += cz; sum += cz * p[c + sz]; }
+      if (ap <= 0.0) return;
+      const double p_gs = (sum - div[c]) / ap;
+      p[c] = (1.0 - omega) * p[c] + omega * p_gs;
+    };
+    // One colour's cells of row (j, k): those with (i & 1) == par.
+    const auto sweep_row = [&](int j, int k, int color) {
+      const int par = (color ^ ((j + k) & 1)) & 1;
+      if (par == 1) general_cell(1, j, k);
+      const size_t row = mesh_.Index(0, j, k);
+      const size_t first = row + 2 + static_cast<size_t>(par);
+      const size_t last = row + static_cast<size_t>(nx - 3);
+      if (nx < 6 || k == 1 || k == nz - 2 || j == 1 || j == ny - 2) {
+        // The span cells' x neighbours are interior; the row fixes which
+        // y/z neighbours are, and the diagonal accumulates them in
+        // general_cell's order so every update is bit-identical to it.
+        double ap = 0.0;
+        ap += cx;
+        ap += cx;
+        if (j > 1 || wy <= 0) ap += cy;
+        if (j < ny - 2 || wy >= 0) ap += cy;
+        if (k > 1) ap += cz;
+        if (k < nz - 2) ap += cz;
+        const unsigned mask = (j > 1 ? kShellYm : 0u) |
+                              (j < ny - 2 ? kShellYp : 0u) |
+                              (k > 1 ? kShellZm : 0u) |
+                              (k < nz - 2 ? kShellZp : 0u);
+        kShellSpans[mask](ShellRow{p, div, first, last, sy, sz, cx, cy, cz,
+                                   ap, omega});
+      } else {
+        for (size_t c = first; c <= last; c += 2) {
+          // Neighbors of a red cell are all black (and vice versa), so
+          // they are loop-invariant within the sweep: pair the opposite
+          // faces before scaling.
+          const double sum = cx * (p[c - sx] + p[c + sx]) +
+                             cy * (p[c - sy] + p[c + sy]) +
+                             cz * (p[c - sz] + p[c + sz]);
+          p[c] += omega * ((sum - div[c]) * inv_ap_core - p[c]);
+        }
       }
-      total_updates_ += interior_cells_;
+      // At nx = 3 the one interior cell is both row ends, done above.
+      if (((nx - 2) & 1) == par && nx > 3) general_cell(nx - 2, j, k);
+    };
+
+    // One parallel region per solve: each participant owns a fixed,
+    // balanced run of (j, k) rows for the RHS and every sweep, so the split
+    // is not capped by nz. Rows are numbered k-fastest, so a run is a slab
+    // of whole j columns and neighbouring participants share an nx-by-nz
+    // face (the smaller one on the fabric mesh). A colour only reads the
+    // other colour, so its rows are independent and the only
+    // synchronisation is one barrier between consecutive sweeps; the RHS
+    // needs none, since each cell's div is written and read by the
+    // participant owning its row.
+    const int col_len = nz - 2;
+    const size_t rows = interior_cells_ == 0
+                            ? 0
+                            : static_cast<size_t>(ny - 2) *
+                                  static_cast<size_t>(col_len);
+    const int sweeps = 2 * std::max(0, params_.poisson_iters);
+    const auto solve = [&](const Region& region) {
+      const auto [rb, re] = region.Share(rows);
+      const auto for_rows = [&](auto&& fn) {
+        if (rb == re) return;
+        int k = 1 + static_cast<int>(rb % static_cast<size_t>(col_len));
+        int j = 1 + static_cast<int>(rb / static_cast<size_t>(col_len));
+        for (size_t r = rb; r < re; ++r) {
+          fn(j, k);
+          if (++k == nz - 1) {
+            k = 1;
+            ++j;
+          }
+        }
+      };
+      // RHS: divergence of the provisional velocity / dt.
+      const double* XG_RESTRICT u = cur_.u.data();
+      const double* XG_RESTRICT v = cur_.v.data();
+      const double* XG_RESTRICT w = cur_.w.data();
+      for_rows([&](int j, int k) {
+        size_t c = mesh_.Index(1, j, k);
+        for (int i = 1; i < nx - 1; ++i, ++c) {
+          div[c] = ((u[c + sx] - u[c - sx]) * idx2 +
+                    (v[c + sy] - v[c - sy]) * idy2 +
+                    (w[c + sz] - w[c - sz]) * idz2) /
+                   dt;
+        }
+      });
+      for (int sweep = 0; sweep < sweeps; ++sweep) {
+        if (sweep > 0) region.Barrier();
+        for_rows([&](int j, int k) { sweep_row(j, k, sweep & 1); });
+      }
+    };
+    if (pool_ != nullptr && interior_cells_ >= kMinPooledSorCells) {
+      pool_->ParallelRegion(solve);
+    } else {
+      RunRegionInline(solve);
     }
+    total_updates_ += interior_cells_ * static_cast<uint64_t>(sweeps / 2);
 
     // Mirror pressure onto boundary cells for the gradient step.
     for (int k = 0; k < nz; ++k) {

@@ -26,9 +26,13 @@
 // means) run as ParallelReduce over horizontal slabs with deterministic
 // combine order.
 //
-// The solver is domain-decomposed over horizontal slabs and runs on a
-// ThreadPool; cell-update counts are exposed so the HPC performance model
-// can be calibrated against real measured per-cell cost. A KernelTimer can
+// The solver runs on a ThreadPool: the single-pass kernels are
+// domain-decomposed over horizontal slabs, one fork-join each, while the
+// pressure solve runs as one parallel region over (j, k) rows with a spin
+// barrier between colour sweeps (serial below a small-grid cutoff; the
+// fields are bitwise the same either way). Cell-update counts are exposed
+// so the HPC performance model can be calibrated against real measured
+// per-cell cost. A KernelTimer can
 // be attached to record per-kernel times into a metrics registry (clock
 // injected by the caller; detached timing costs one pointer test).
 #pragma once

@@ -1,6 +1,5 @@
 #include "common/sim.hpp"
 
-#include <algorithm>
 #include <memory>
 
 namespace xg::sim {
@@ -15,10 +14,9 @@ EventHandle Simulation::ScheduleAt(SimTime when, Callback fn) {
 
 bool Simulation::Cancel(EventHandle h) {
   // Only events that are still pending (not run, not already cancelled) can
-  // be cancelled; the priority_queue is purged lazily on pop.
-  if (!h.valid() || live_.erase(h.id_) == 0) return false;
-  cancelled_.push_back(h.id_);
-  return true;
+  // be cancelled; the priority_queue is purged lazily on pop, which skips
+  // any event whose id has left the live set.
+  return h.valid() && live_.erase(h.id_) != 0;
 }
 
 bool Simulation::PopNext(Event& out) {
@@ -27,12 +25,7 @@ bool Simulation::PopNext(Event& out) {
     // standard idiom but we copy the small struct header and move the fn.
     Event ev = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    live_.erase(ev.id);
+    if (live_.erase(ev.id) == 0) continue;  // cancelled
     out = std::move(ev);
     return true;
   }

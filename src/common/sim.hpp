@@ -111,8 +111,9 @@ class Simulation {
 
   SimTime now_{};
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<uint64_t> live_;       // ids of schedulable events
-  std::vector<uint64_t> cancelled_;  // ids; lazily discarded on pop
+  // Ids of schedulable events; a queued event whose id is absent was
+  // cancelled and is discarded when it reaches the top.
+  std::unordered_set<uint64_t> live_;
   uint64_t next_seq_ = 1;
   uint64_t next_id_ = 1;
   uint64_t executed_ = 0;

@@ -6,11 +6,47 @@ namespace xg {
 
 namespace {
 // Set while a worker thread executes a task, so a nested ParallelFor /
-// ParallelReduce / RunOnAll issued from inside a task body can be detected:
-// the nested call would wait on cv_done_ from the very thread the pool
-// needs to finish the outer task — a guaranteed deadlock.
+// ParallelReduce / RunOnAll / ParallelRegion issued from inside a task body
+// can be detected: the nested call would wait on cv_done_ from the very
+// thread the pool needs to finish the outer task — a guaranteed deadlock.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
+
+/// Pause hints a barrier waiter issues before it starts yielding the core:
+/// long enough to cover a balanced phase's skew on an idle host, short
+/// enough that an oversubscribed one hands the core back quickly.
+constexpr int kBarrierSpins = 1024;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 }  // namespace
+
+SpinBarrier::SpinBarrier(size_t parties) : parties_(parties) {
+  XG_INVARIANT(parties > 0, "SpinBarrier needs at least one participant");
+}
+
+void SpinBarrier::ArriveAndWait() {
+  // The phase cannot advance before this arrival, so reading it first is
+  // safe; the last arrival resets the count before publishing the phase.
+  const uint64_t phase = phase_.load(std::memory_order_acquire);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 >= parties_) {
+    arrived_.store(0, std::memory_order_relaxed);
+    phase_.store(phase + 1, std::memory_order_release);
+    return;
+  }
+  for (int spins = 0; phase_.load(std::memory_order_acquire) == phase;
+       ++spins) {
+    if (spins < kBarrierSpins) {
+      CpuRelax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
 
 ThreadPool::ThreadPool(size_t threads) {
   if (threads == 0) {

@@ -7,13 +7,21 @@
 // per-worker partials combined in worker order, so a reduction over a fixed
 // worker count is deterministic run to run.
 //
-// Both entry points are templates dispatched through a raw function-pointer
+// ParallelRegion runs one body on every worker at once, for loops that need
+// many short phases (the CFD pressure solve's red-black sweeps): each
+// participant keeps a fixed share of the work across phases and meets the
+// others at a SpinBarrier between them, so a phase costs a barrier rather
+// than a condvar-woken fork-join.
+//
+// All entry points are templates dispatched through a raw function-pointer
 // trampoline: the callable lives on the submitter's stack and is passed by
 // address, so a fork-join costs no std::function construction and no heap
 // allocation (the chunk table is a buffer reused across submissions).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -23,6 +31,64 @@
 #include "common/mutex.hpp"
 
 namespace xg {
+
+/// Sense-reversing spin barrier for a fixed set of participants. The shared
+/// sense is a phase counter, so participants keep no local sense: each
+/// arrival reads the phase, the last arrival resets the count and advances
+/// the phase, and the others spin until it moves — a bounded number of CPU
+/// pause hints, then yielding the core. Everything a participant wrote
+/// before ArriveAndWait() is visible to every participant after it: the
+/// arrivals are acquire-release on one counter and the phase store is a
+/// release the waiters acquire, so ThreadSanitizer sees the ordering too.
+class SpinBarrier {
+ public:
+  explicit SpinBarrier(size_t parties);
+
+  SpinBarrier(const SpinBarrier&) = delete;
+  SpinBarrier& operator=(const SpinBarrier&) = delete;
+
+  /// Block until all parties have arrived in the current phase.
+  void ArriveAndWait();
+
+ private:
+  const size_t parties_;
+  alignas(64) std::atomic<size_t> arrived_{0};
+  alignas(64) std::atomic<uint64_t> phase_{0};
+};
+
+/// One participant's view of a ThreadPool::ParallelRegion.
+class Region {
+ public:
+  Region(size_t worker, size_t workers, SpinBarrier* barrier)
+      : worker_(worker), workers_(workers), barrier_(barrier) {}
+
+  size_t worker() const { return worker_; }
+  size_t workers() const { return workers_; }
+
+  /// This participant's contiguous share of [0, n): shares are in worker
+  /// order and differ in size by at most one, so a participant's share is
+  /// empty only when n < workers().
+  std::pair<size_t, size_t> Share(size_t n) const {
+    return {n * worker_ / workers_, n * (worker_ + 1) / workers_};
+  }
+
+  /// Wait for every participant of the region, empty shares included;
+  /// each must make the same number of Barrier() calls.
+  void Barrier() const { barrier_->ArriveAndWait(); }
+
+ private:
+  size_t worker_;
+  size_t workers_;
+  SpinBarrier* barrier_;
+};
+
+/// Run fn(region) as a one-participant region on the calling thread: the
+/// serial path of code written against Region (Barrier() returns at once).
+template <typename Fn>
+void RunRegionInline(Fn&& fn) {
+  SpinBarrier barrier(1);
+  fn(Region(0, 1, &barrier));
+}
 
 class ThreadPool {
  public:
@@ -96,6 +162,30 @@ class ThreadPool {
     // One unit of work per worker: chunking assigns index w to worker w.
     auto body = [&](size_t begin, size_t end, size_t) {
       for (size_t i = begin; i < end; ++i) fn(i);
+    };
+    using Body = decltype(body);
+    Dispatch(workers_.size(), &WorkerRangeTrampoline<Body>,
+             const_cast<void*>(static_cast<const void*>(&body)));
+  }
+
+  /// Run fn(const Region&) once on every worker, concurrently, and block
+  /// until all return. The participants share one SpinBarrier for the whole
+  /// region (Region::Barrier), so a body can run many dependent phases for
+  /// one dispatch. Same nesting contract as ParallelFor: a nested call runs
+  /// fn inline as a one-participant region.
+  template <typename Fn>
+  void ParallelRegion(Fn&& fn) {
+    XG_INVARIANT(!OnWorkerThread(),
+                 "nested ParallelRegion on the same ThreadPool would deadlock");
+    if (OnWorkerThread()) {
+      RunRegionInline(fn);
+      return;
+    }
+    SpinBarrier barrier(workers_.size());
+    auto body = [&](size_t begin, size_t end, size_t) {
+      for (size_t i = begin; i < end; ++i) {
+        fn(Region(i, workers_.size(), &barrier));
+      }
     };
     using Body = decltype(body);
     Dispatch(workers_.size(), &WorkerRangeTrampoline<Body>,

@@ -17,6 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "cfd/mesh.hpp"
 #include "common/threadpool.hpp"
@@ -137,6 +142,121 @@ TEST(SolverGolden, SerialAndPooledFieldsAgreeBitwise) {
   ASSERT_EQ(serial.temperature(), pooled.temperature());
   ASSERT_EQ(serial.pressure(), pooled.pressure());
 }
+
+// ---------------------------------------------------------------------------
+// Bitwise field digests.
+//
+// The 1e-9 scalars above tolerate reassociation; these do not. Each case
+// pins a 64-bit FNV-1a digest of the raw bit patterns of u, v, w, T and p
+// after 40 steps, recorded from the solver before the single-region SOR
+// and row-constant shell kernel went in. Every execution mode — serial and
+// pools of 1-4 workers — must reproduce the same digest, so any change to
+// per-cell arithmetic or sweep order shows up here.
+//
+// Wind directions cover every sign of (wx, wy), the axis-aligned ones
+// included (at 0 deg wx is exactly -0.0, at 90/180/270 deg one component
+// is a rounding-sized residue of sin/cos). The meshes cover the default
+// fabric mesh, a small nz (whole rows of shell cells, kept serial by the
+// small-grid cutoff), and nx < 6 (every row takes the shell path, nx = 3
+// has one interior column whose two row ends coincide).
+
+constexpr int kDigestSteps = 40;
+
+uint64_t FnvDigest(const Solver& s) {
+  uint64_t h = 14695981039346656037ull;
+  for (const std::vector<double>* f :
+       {&s.u(), &s.v(), &s.w(), &s.temperature(), &s.pressure()}) {
+    for (double d : *f) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &d, sizeof bits);
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  return h;
+}
+
+struct DigestCase {
+  int nx, ny, nz;
+  double wind_dir_deg;
+  uint64_t digest;
+};
+
+void PrintTo(const DigestCase& c, std::ostream* os) {
+  *os << c.nx << "x" << c.ny << "x" << c.nz << " wind from "
+      << c.wind_dir_deg << " deg";
+}
+
+std::string DigestCaseName(const testing::TestParamInfo<DigestCase>& info) {
+  const DigestCase& c = info.param;
+  return std::to_string(c.nx) + "x" + std::to_string(c.ny) + "x" +
+         std::to_string(c.nz) + "_dir" +
+         std::to_string(static_cast<int>(c.wind_dir_deg));
+}
+
+uint64_t RunDigest(const DigestCase& c, ThreadPool* pool) {
+  MeshParams mp;
+  mp.nx = c.nx;
+  mp.ny = c.ny;
+  mp.nz = c.nz;
+  Mesh mesh(mp);
+  Boundary bc;
+  bc.wind_speed_ms = 4.0;
+  bc.wind_dir_deg = c.wind_dir_deg;
+  bc.exterior_temp_c = 21.0;
+  bc.interior_temp_c = 26.0;
+  Solver s(mesh, SolverParams{}, pool);
+  s.Initialize(bc);
+  s.Run(kDigestSteps);
+  return FnvDigest(s);
+}
+
+class SolverDigest : public testing::TestWithParam<DigestCase> {};
+
+TEST_P(SolverDigest, SerialAndPooledReproduceSeedDigest) {
+  const DigestCase& c = GetParam();
+  const uint64_t serial = RunDigest(c, nullptr);
+  EXPECT_EQ(serial, c.digest) << "serial digest 0x" << std::hex << serial;
+  for (size_t workers = 1; workers <= 4; ++workers) {
+    ThreadPool pool(workers);
+    const uint64_t got = RunDigest(c, &pool);
+    EXPECT_EQ(got, c.digest)
+        << workers << "-worker digest 0x" << std::hex << got;
+  }
+}
+
+constexpr double kDirs[] = {0, 45, 90, 135, 180, 225, 270, 315};
+
+std::vector<DigestCase> DigestCases() {
+  const int meshes[][3] = {{48, 40, 12}, {24, 20, 4}, {5, 20, 12}, {3, 12, 6}};
+  const uint64_t digests[4][8] = {
+      {0x5c73a44a866e55fe, 0xa84bab81aa769f13, 0xecff32086c5ac271,
+       0xddc4ac340306c3eb, 0xc2e539f1431f4c8f, 0x8c6a493bc02ec929,
+       0x2c6768374e3cf656, 0x57b9396bcdb7f77a},
+      {0xf4faeae22a3e790f, 0x6df4dcf6e2d49e8d, 0xa7d3756c07f9e665,
+       0xd0abe5c5b7cccec7, 0x395321b6f878f923, 0xecbe8d318f8e0064,
+       0xc11af1b7dd04898f, 0x16be0fed54339cec},
+      {0xa7300c1e421b0b27, 0xb01c11f5053676e2, 0x2be203a445ce0035,
+       0xcb537b4171c8f748, 0xf859fe8dbdd14413, 0x3ce165240dc3982e,
+       0x271990a813df6c60, 0xbde05dbe20fa1ccb},
+      {0x5d42c8fdd3c40900, 0x36130ef5e7682189, 0x738f322ad3a8e7c9,
+       0x82835889935c331d, 0xbc73d6ae0f01fbdd, 0x5d361ce5a2130f7d,
+       0x160fc7a53d185469, 0x73d578e3006a0765},
+  };
+  std::vector<DigestCase> cases;
+  for (int m = 0; m < 4; ++m) {
+    for (int d = 0; d < 8; ++d) {
+      cases.push_back({meshes[m][0], meshes[m][1], meshes[m][2], kDirs[d],
+                       digests[m][d]});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seed, SolverDigest, testing::ValuesIn(DigestCases()),
+                         DigestCaseName);
 
 }  // namespace
 }  // namespace xg::cfd

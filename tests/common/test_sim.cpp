@@ -146,6 +146,62 @@ TEST(Simulation, PendingCountsLiveEventsOnly) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+// RunUntil pops the first event past its deadline and puts it back; the
+// put-back must leave it cancellable exactly like an untouched event.
+TEST(Simulation, CancelAfterRunUntilPutBack) {
+  Simulation sim;
+  bool ran = false;
+  EventHandle late = sim.Schedule(SimTime::Seconds(5), [&] { ran = true; });
+  sim.Schedule(SimTime::Seconds(6), [] {});
+  EXPECT_EQ(sim.RunUntil(SimTime::Seconds(1)), 0u);
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_TRUE(sim.Cancel(late));
+  EXPECT_FALSE(sim.Cancel(late));
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.RunUntil(SimTime::Seconds(10)), 1u);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// Many cancels interleaved with execution, including cancels issued from
+// inside callbacks and of events at the same instant: exactly the
+// uncancelled events run, in time-then-FIFO order.
+TEST(Simulation, ManyInterleavedCancels) {
+  Simulation sim;
+  constexpr int kEvents = 2000;
+  std::vector<EventHandle> handles(kEvents);
+  std::vector<int> ran;
+  for (int i = 0; i < kEvents; ++i) {
+    // Ten events per millisecond, so same-instant ties are common.
+    handles[static_cast<size_t>(i)] = sim.Schedule(
+        SimTime::Millis(static_cast<double>(i / 10)), [&ran, &sim, &handles, i] {
+          ran.push_back(i);
+          // Each multiple of 7 cancels the event 13 ahead of it.
+          if (i % 7 == 0 && i + 13 < kEvents) {
+            sim.Cancel(handles[static_cast<size_t>(i + 13)]);
+          }
+        });
+  }
+  // Cancel every third event up front, and run the first quarter in
+  // RunUntil slices so some cancels land after put-backs.
+  for (int i = 0; i < kEvents; i += 3) {
+    EXPECT_TRUE(sim.Cancel(handles[static_cast<size_t>(i)]));
+  }
+  for (int ms = 0; ms < 50; ms += 5) sim.RunUntil(SimTime::Millis(ms));
+  sim.Run();
+
+  std::vector<bool> cancelled(kEvents, false);
+  std::vector<int> want;
+  for (int i = 0; i < kEvents; ++i) {
+    if (i % 3 == 0 || cancelled[static_cast<size_t>(i)]) continue;
+    want.push_back(i);
+    if (i % 7 == 0 && i + 13 < kEvents) cancelled[static_cast<size_t>(i + 13)] = true;
+  }
+  EXPECT_EQ(ran, want);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.executed(), want.size());
+}
+
 TEST(Periodic, FiresUntilFalse) {
   Simulation sim;
   int fires = 0;

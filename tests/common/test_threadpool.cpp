@@ -279,5 +279,134 @@ TEST(ThreadPoolContract, SiblingPoolsMayNest) {
   EXPECT_EQ(contract::ViolationCount(), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// ParallelRegion and SpinBarrier. Run under TSan through the "concurrent"
+// label: the plain (non-atomic) writes below are ordered only by the
+// barrier, so a missing happens-before edge is a reported race.
+
+TEST(ThreadPoolRegion, RunsOnceOnEveryWorker) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(4);
+  std::atomic<size_t> seen_workers{0};
+  pool.ParallelRegion([&](const Region& r) {
+    hits[r.worker()].fetch_add(1);
+    seen_workers.store(r.workers());
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(seen_workers.load(), 4u);
+}
+
+TEST(ThreadPoolRegion, SharesAreBalancedAndContiguous) {
+  SpinBarrier barrier(1);
+  for (size_t workers : {1u, 2u, 3u, 4u, 7u}) {
+    for (size_t n : {0u, 1u, 3u, 10u, 380u, 1001u}) {
+      size_t expect_begin = 0;
+      for (size_t w = 0; w < workers; ++w) {
+        const auto [b, e] = Region(w, workers, &barrier).Share(n);
+        EXPECT_EQ(b, expect_begin) << workers << " workers, n=" << n;
+        EXPECT_LE(e - b, n / workers + 1);
+        EXPECT_GE(e - b, n / workers);
+        expect_begin = e;
+      }
+      EXPECT_EQ(expect_begin, n);
+    }
+  }
+}
+
+TEST(ThreadPoolRegion, BarrierKeepsWorkersInLockstep) {
+  constexpr size_t kWorkers = 4;
+  constexpr int kPhases = 500;
+  ThreadPool pool(kWorkers);
+  std::vector<std::atomic<size_t>> arrived(kPhases + 1);
+  std::atomic<int> violations{0};
+  pool.ParallelRegion([&](const Region& r) {
+    for (int ph = 0; ph < kPhases; ++ph) {
+      arrived[ph].fetch_add(1);
+      // Nobody may have entered the next phase before this one closes.
+      if (arrived[ph + 1].load() != 0) violations.fetch_add(1);
+      r.Barrier();
+      // Everyone reached this phase's barrier before anyone left it.
+      if (arrived[ph].load() != kWorkers) violations.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(violations.load(), 0);
+  for (int ph = 0; ph < kPhases; ++ph) EXPECT_EQ(arrived[ph].load(), kWorkers);
+}
+
+TEST(ThreadPoolRegion, WritesBeforeBarrierAreVisibleAfterIt) {
+  constexpr size_t kWorkers = 3;
+  constexpr int kPhases = 200;
+  ThreadPool pool(kWorkers);
+  // Plain ints: only the barrier orders these accesses.
+  std::vector<int> slots(kWorkers, -1);
+  std::vector<int> mismatches(kWorkers, 0);
+  pool.ParallelRegion([&](const Region& r) {
+    for (int ph = 0; ph < kPhases; ++ph) {
+      slots[r.worker()] = ph * 10 + static_cast<int>(r.worker());
+      r.Barrier();
+      for (size_t w = 0; w < kWorkers; ++w) {
+        if (slots[w] != ph * 10 + static_cast<int>(w)) ++mismatches[r.worker()];
+      }
+      r.Barrier();  // reads done before the next phase's writes
+    }
+  });
+  for (int m : mismatches) EXPECT_EQ(m, 0);
+}
+
+TEST(ThreadPoolRegion, EmptySharesStillReachEveryBarrier) {
+  constexpr size_t kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  const size_t n = 2;  // two of the four shares are empty
+  std::vector<int> owner(n, -1);
+  std::vector<int> phases(kWorkers, 0);
+  std::atomic<int> empty_shares{0};
+  pool.ParallelRegion([&](const Region& r) {
+    const auto [b, e] = r.Share(n);
+    if (b == e) empty_shares.fetch_add(1);
+    for (int ph = 0; ph < 50; ++ph) {
+      for (size_t i = b; i < e; ++i) owner[i] = static_cast<int>(r.worker());
+      r.Barrier();
+      ++phases[r.worker()];
+    }
+  });
+  EXPECT_EQ(empty_shares.load(), 2);
+  EXPECT_NE(owner[0], -1);
+  EXPECT_NE(owner[1], -1);
+  EXPECT_NE(owner[0], owner[1]);
+  for (int p : phases) EXPECT_EQ(p, 50);
+}
+
+TEST(ThreadPoolRegion, InlineRegionIsOneParticipant) {
+  int calls = 0;
+  RunRegionInline([&](const Region& r) {
+    EXPECT_EQ(r.worker(), 0u);
+    EXPECT_EQ(r.workers(), 1u);
+    EXPECT_EQ(r.Share(7), (std::pair<size_t, size_t>{0, 7}));
+    for (int ph = 0; ph < 3; ++ph) r.Barrier();  // returns at once
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPoolContract, NestedParallelRegionRunsInline) {
+  contract::ResetViolationStats();
+  ThreadPool pool(2);
+  std::atomic<int> inner_calls{0};
+  std::atomic<int> inner_not_inline{0};
+  pool.ParallelFor(2, [&](size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) {
+      pool.ParallelRegion([&](const Region& r) {
+        if (r.workers() != 1) inner_not_inline.fetch_add(1);
+        r.Barrier();  // one participant: must not wait for the pool
+        inner_calls.fetch_add(1);
+      });
+    }
+  });
+  EXPECT_EQ(inner_calls.load(), 2);
+  EXPECT_EQ(inner_not_inline.load(), 0);
+  EXPECT_GE(contract::ViolationCount(), 1u);
+  contract::ResetViolationStats();
+}
+
 }  // namespace
 }  // namespace xg
