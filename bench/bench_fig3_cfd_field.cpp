@@ -51,8 +51,7 @@ int main() {
             << mesh.cell_count() << " cells ("
             << mesh.CountType(cfd::CellType::kScreen) << " screen, "
             << mesh.CountType(cfd::CellType::kCanopy) << " canopy)...\n";
-  cfd::StepStats last{};
-  for (int s = 0; s < cfd_case.steps; ++s) last = solver.Step();
+  const cfd::StepStats last = solver.Run(cfd_case.steps);
 
   Table summary({"Quantity", "Value"});
   summary.AddRow({"Boundary wind (m/s)",

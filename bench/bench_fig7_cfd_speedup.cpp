@@ -76,7 +76,9 @@ int main() {
                "node (decompose/reconstruct overhead grows with nodes).\n\n";
 
   // Real-solver wall-clock at reduced scale: demonstrates the actual
-  // implementation and lets multi-core machines observe real speedup.
+  // implementation. The mesh has 7,616 interior cells, under the solver's
+  // 8,192-cell pooling cutoff, so every thread count runs the whole step
+  // inline on the calling thread and the curve is flat by design.
   cfd::MeshParams mp;
   mp.nx = 36;
   mp.ny = 30;
@@ -102,8 +104,8 @@ int main() {
                  Table::Num(static_cast<double>(mesh.cell_count()), 0)});
   }
   real.Print(std::cout,
-             "Real solver wall-clock (reduced mesh; informative only on "
-             "multi-core hosts)");
+             "Real solver wall-clock (reduced mesh under the pooling "
+             "cutoff: inline at every thread count)");
 
   // Machine-readable artifact mirroring the CSV plus the real-solver runs.
   std::ofstream jout("BENCH_fig7.json");

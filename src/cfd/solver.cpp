@@ -27,22 +27,12 @@ double WindProfile(double z_m) {
   return std::max(0.3, std::pow(z / 10.0, 0.14));
 }
 
-/// Partial accumulator for interior-mean reductions.
-struct SumCount {
-  double sum = 0.0;
-  uint64_t n = 0;
-};
-
-SumCount CombineSumCount(SumCount a, SumCount b) {
-  return {a.sum + b.sum, a.n + b.n};
-}
-
-/// Below this many interior cells the pressure solve stays on the calling
-/// thread even with a pool attached: a colour sweep is then ~20 us of work
-/// or less, and splitting it no longer pays for the barrier rounds and the
-/// skew between workers (on a 4-core VM a 2-worker solve broke even near
-/// 6k cells and lost at 4k; the 48x40x12 fabric mesh has 17.5k).
-constexpr uint64_t kMinPooledSorCells = 8192;
+/// Below this many interior cells a run stays on the calling thread even
+/// with a pool attached: a colour sweep is then ~20 us of work or less, and
+/// splitting it no longer pays for the barrier rounds and the skew between
+/// workers (on a 4-core VM a 2-worker pressure solve broke even near 6k
+/// cells and lost at 4k; the 48x40x12 fabric mesh has 17.5k).
+constexpr uint64_t kMinPooledCells = 8192;
 
 /// One shell-row span of a red-black sweep: cells first, first + 2, ...,
 /// up to last, all with interior x neighbours, and a diagonal `ap` that is
@@ -120,6 +110,9 @@ Solver::Solver(const Mesh& mesh, SolverParams params, ThreadPool* pool)
                               static_cast<uint64_t>(ny - 2) *
                               static_cast<uint64_t>(nz - 2)
                         : 0;
+  interior_rows_ = interior_cells_ == 0 ? 0
+                                        : static_cast<size_t>(ny - 2) *
+                                              static_cast<size_t>(nz - 2);
 }
 
 void Solver::WindVector(double& wx, double& wy) const {
@@ -152,33 +145,22 @@ void Solver::Initialize(const Boundary& bc) {
   ApplyBounds(cur_, true);
 }
 
-template <typename Body>
-void Solver::ForSlabs(Body&& body) const {
-  const int nz = mesh_.nz();
-  if (nz <= 2) return;
-  if (pool_ != nullptr && nz > 3) {
-    // Slab decomposition over k in [1, nz-1).
-    pool_->ParallelFor(static_cast<size_t>(nz - 2), [&](size_t b, size_t e) {
-      body(static_cast<int>(b) + 1, static_cast<int>(e) + 1);
-    });
-  } else {
-    body(1, nz - 1);
+template <typename Fn>
+void Solver::ForRows(size_t rb, size_t re, Fn&& fn) const {
+  if (rb == re) return;
+  const int ny = mesh_.ny();
+  const size_t row_len = static_cast<size_t>(ny - 2);
+  const size_t width = static_cast<size_t>(mesh_.nx() - 2);
+  int j = 1 + static_cast<int>(rb % row_len);
+  int k = 1 + static_cast<int>(rb / row_len);
+  for (size_t r = rb; r < re; ++r) {
+    const size_t first = mesh_.Index(1, j, k);
+    fn(first, first + width);
+    if (++j == ny - 1) {
+      j = 1;
+      ++k;
+    }
   }
-}
-
-template <typename T, typename Map, typename Combine>
-T Solver::ReduceSlabs(T identity, Map&& map, Combine&& combine) const {
-  const int nz = mesh_.nz();
-  if (nz <= 2) return identity;
-  if (pool_ != nullptr && nz > 3) {
-    return pool_->ParallelReduce(
-        static_cast<size_t>(nz - 2), identity,
-        [&](size_t b, size_t e) {
-          return map(static_cast<int>(b) + 1, static_cast<int>(e) + 1);
-        },
-        combine);
-  }
-  return combine(identity, map(1, nz - 1));
 }
 
 void Solver::ApplyBounds(Fields& f, bool with_scalar) const {
@@ -276,53 +258,44 @@ void Solver::ApplyBounds(Fields& f, bool with_scalar) const {
   }
 }
 
-void Solver::Advect() {
-  std::swap(cur_, prev_);
+void Solver::Advect(size_t rb, size_t re) {
   const double dt = params_.dt_s;
   const double idx = 1.0 / mesh_.dx(), idy = 1.0 / mesh_.dy(),
                idz = 1.0 / mesh_.dz();
   const int nx = mesh_.nx(), ny = mesh_.ny();
   const size_t sx = 1, sy = static_cast<size_t>(nx),
                sz = static_cast<size_t>(nx) * static_cast<size_t>(ny);
-  const double* XG_RESTRICT u0 = prev_.u.data();
-  const double* XG_RESTRICT v0 = prev_.v.data();
-  const double* XG_RESTRICT w0 = prev_.w.data();
-  const double* XG_RESTRICT t0 = prev_.t.data();
-  double* XG_RESTRICT u = cur_.u.data();
-  double* XG_RESTRICT v = cur_.v.data();
-  double* XG_RESTRICT w = cur_.w.data();
-  double* XG_RESTRICT t = cur_.t.data();
+  const double* XG_RESTRICT u0 = cur_.u.data();
+  const double* XG_RESTRICT v0 = cur_.v.data();
+  const double* XG_RESTRICT w0 = cur_.w.data();
+  const double* XG_RESTRICT t0 = cur_.t.data();
+  double* XG_RESTRICT u = prev_.u.data();
+  double* XG_RESTRICT v = prev_.v.data();
+  double* XG_RESTRICT w = prev_.w.data();
+  double* XG_RESTRICT t = prev_.t.data();
 
-  ForSlabs([&](int kb, int ke) {
-    for (int k = kb; k < ke; ++k) {
-      for (int j = 1; j < ny - 1; ++j) {
-        size_t c = mesh_.Index(1, j, k);
-        for (int i = 1; i < nx - 1; ++i, ++c) {
-          const double uu = u0[c], vv = v0[c], ww = w0[c];
-          const auto upwind = [&](const double* XG_RESTRICT fld) {
-            // First-order upwind derivative along each axis.
-            const double dfx = uu >= 0 ? (fld[c] - fld[c - sx]) * idx
-                                       : (fld[c + sx] - fld[c]) * idx;
-            const double dfy = vv >= 0 ? (fld[c] - fld[c - sy]) * idy
-                                       : (fld[c + sy] - fld[c]) * idy;
-            const double dfz = ww >= 0 ? (fld[c] - fld[c - sz]) * idz
-                                       : (fld[c + sz] - fld[c]) * idz;
-            return uu * dfx + vv * dfy + ww * dfz;
-          };
-          u[c] = u0[c] - dt * upwind(u0);
-          v[c] = v0[c] - dt * upwind(v0);
-          w[c] = w0[c] - dt * upwind(w0);
-          t[c] = t0[c] - dt * upwind(t0);
-        }
-      }
+  ForRows(rb, re, [&](size_t cb, size_t ce) {
+    for (size_t c = cb; c < ce; ++c) {
+      const double uu = u0[c], vv = v0[c], ww = w0[c];
+      const auto upwind = [&](const double* XG_RESTRICT fld) {
+        // First-order upwind derivative along each axis.
+        const double dfx = uu >= 0 ? (fld[c] - fld[c - sx]) * idx
+                                   : (fld[c + sx] - fld[c]) * idx;
+        const double dfy = vv >= 0 ? (fld[c] - fld[c - sy]) * idy
+                                   : (fld[c + sy] - fld[c]) * idy;
+        const double dfz = ww >= 0 ? (fld[c] - fld[c - sz]) * idz
+                                   : (fld[c + sz] - fld[c]) * idz;
+        return uu * dfx + vv * dfy + ww * dfz;
+      };
+      u[c] = u0[c] - dt * upwind(u0);
+      v[c] = v0[c] - dt * upwind(v0);
+      w[c] = w0[c] - dt * upwind(w0);
+      t[c] = t0[c] - dt * upwind(t0);
     }
   });
-  ApplyBounds(cur_, true);
-  total_updates_ += interior_cells_;
 }
 
-void Solver::DiffuseAndForce() {
-  std::swap(cur_, prev_);
+void Solver::DiffuseAndForce(size_t rb, size_t re) {
   const double dt = params_.dt_s;
   const double cx = 1.0 / (mesh_.dx() * mesh_.dx());
   const double cy = 1.0 / (mesh_.dy() * mesh_.dy());
@@ -346,48 +319,41 @@ void Solver::DiffuseAndForce() {
   const double* XG_RESTRICT heat = cell_heat_.data();
   const CellType* XG_RESTRICT type = mesh_.types().data();
 
-  ForSlabs([&](int kb, int ke) {
-    for (int k = kb; k < ke; ++k) {
-      for (int j = 1; j < ny - 1; ++j) {
-        size_t c = mesh_.Index(1, j, k);
-        for (int i = 1; i < nx - 1; ++i, ++c) {
-          const auto lap = [&](const double* XG_RESTRICT fld) {
-            return cx * (fld[c + sx] - 2.0 * fld[c] + fld[c - sx]) +
-                   cy * (fld[c + sy] - 2.0 * fld[c] + fld[c - sy]) +
-                   cz * (fld[c + sz] - 2.0 * fld[c] + fld[c - sz]);
-          };
-          double un = u0[c] + dtnu * lap(u0);
-          double vn = v0[c] + dtnu * lap(v0);
-          double wn = w0[c] + dtnu * lap(w0);
-          double tn = t0[c] + dtkappa * lap(t0);
+  ForRows(rb, re, [&](size_t cb, size_t ce) {
+    for (size_t c = cb; c < ce; ++c) {
+      const auto lap = [&](const double* XG_RESTRICT fld) {
+        return cx * (fld[c + sx] - 2.0 * fld[c] + fld[c - sx]) +
+               cy * (fld[c + sy] - 2.0 * fld[c] + fld[c - sy]) +
+               cz * (fld[c + sz] - 2.0 * fld[c] + fld[c - sz]);
+      };
+      double un = u0[c] + dtnu * lap(u0);
+      double vn = v0[c] + dtnu * lap(v0);
+      double wn = w0[c] + dtnu * lap(w0);
+      double tn = t0[c] + dtkappa * lap(t0);
 
-          // Boussinesq buoyancy relative to the exterior air temperature.
-          wn += gbeta * (t0[c] - t_ext);
+      // Boussinesq buoyancy relative to the exterior air temperature.
+      wn += gbeta * (t0[c] - t_ext);
 
-          // Porous drag (implicit per cell: unconditionally stable) and
-          // canopy heat, both from the precomputed per-cell arrays.
-          if (type[c] != CellType::kFluid) {
-            const double cd = drag[c];
-            const double speed = std::sqrt(un * un + vn * vn + wn * wn);
-            const double damp = 1.0 / (1.0 + dt * cd * speed);
-            un *= damp;
-            vn *= damp;
-            wn *= damp;
-            tn += heat[c];
-          }
-          u[c] = un;
-          v[c] = vn;
-          w[c] = wn;
-          t[c] = tn;
-        }
+      // Porous drag (implicit per cell: unconditionally stable) and
+      // canopy heat, both from the precomputed per-cell arrays.
+      if (type[c] != CellType::kFluid) {
+        const double cd = drag[c];
+        const double speed = std::sqrt(un * un + vn * vn + wn * wn);
+        const double damp = 1.0 / (1.0 + dt * cd * speed);
+        un *= damp;
+        vn *= damp;
+        wn *= damp;
+        tn += heat[c];
       }
+      u[c] = un;
+      v[c] = vn;
+      w[c] = wn;
+      t[c] = tn;
     }
   });
-  ApplyBounds(cur_, true);
-  total_updates_ += interior_cells_;
 }
 
-void Solver::SolvePressure(StepStats& stats) {
+void Solver::SolvePressure(const Region& region) {
   const int nx = mesh_.nx(), ny = mesh_.ny(), nz = mesh_.nz();
   const double dt = params_.dt_s;
   const double idx2 = 1.0 / (2.0 * mesh_.dx()), idy2 = 1.0 / (2.0 * mesh_.dy()),
@@ -403,175 +369,163 @@ void Solver::SolvePressure(StepStats& stats) {
   double* XG_RESTRICT p = p_.data();
   double* XG_RESTRICT div = div_.data();
 
-  {
-    obs::KernelScope ks(timer_, "sor");
-
-    // Red-black SOR. Outflow lateral faces carry Dirichlet p = 0 ghosts (an
-    // all-Neumann problem would be singular); inflow, ground, and top faces
-    // are Neumann. Cells whose six neighbors are all interior share one
-    // constant diagonal, so the bulk of each sweep runs a branch-free
-    // stride-2 span multiplying by the precomputed reciprocal diagonal.
-    // Shell rows (next to a y or z face, or every row when nx < 6) run the
-    // row-constant span (ShellSpan) with the diagonal and neighbour set of
-    // the row; only the two row ends take the general wind-dependent form
-    // (where the division also guards ap == 0).
-    const double ap_core = cx + cx + cy + cy + cz + cz;
-    const double inv_ap_core = 1.0 / ap_core;
-    const auto general_cell = [&](int i, int j, int k) {
-      const size_t c = mesh_.Index(i, j, k);
-      double ap = 0.0, sum = 0.0;
-      // x- neighbor
-      if (i > 1) { ap += cx; sum += cx * p[c - sx]; }
-      else if (wx <= 0) { ap += cx; }  // Dirichlet ghost p=0 (outflow)
-      if (i < nx - 2) { ap += cx; sum += cx * p[c + sx]; }
-      else if (wx >= 0) { ap += cx; }
-      if (j > 1) { ap += cy; sum += cy * p[c - sy]; }
-      else if (wy <= 0) { ap += cy; }
-      if (j < ny - 2) { ap += cy; sum += cy * p[c + sy]; }
-      else if (wy >= 0) { ap += cy; }
-      if (k > 1) { ap += cz; sum += cz * p[c - sz]; }
-      if (k < nz - 2) { ap += cz; sum += cz * p[c + sz]; }
-      if (ap <= 0.0) return;
-      const double p_gs = (sum - div[c]) / ap;
-      p[c] = (1.0 - omega) * p[c] + omega * p_gs;
-    };
-    // One colour's cells of row (j, k): those with (i & 1) == par.
-    const auto sweep_row = [&](int j, int k, int color) {
-      const int par = (color ^ ((j + k) & 1)) & 1;
-      if (par == 1) general_cell(1, j, k);
-      const size_t row = mesh_.Index(0, j, k);
-      const size_t first = row + 2 + static_cast<size_t>(par);
-      const size_t last = row + static_cast<size_t>(nx - 3);
-      if (nx < 6 || k == 1 || k == nz - 2 || j == 1 || j == ny - 2) {
-        // The span cells' x neighbours are interior; the row fixes which
-        // y/z neighbours are, and the diagonal accumulates them in
-        // general_cell's order so every update is bit-identical to it.
-        double ap = 0.0;
-        ap += cx;
-        ap += cx;
-        if (j > 1 || wy <= 0) ap += cy;
-        if (j < ny - 2 || wy >= 0) ap += cy;
-        if (k > 1) ap += cz;
-        if (k < nz - 2) ap += cz;
-        const unsigned mask = (j > 1 ? kShellYm : 0u) |
-                              (j < ny - 2 ? kShellYp : 0u) |
-                              (k > 1 ? kShellZm : 0u) |
-                              (k < nz - 2 ? kShellZp : 0u);
-        kShellSpans[mask](ShellRow{p, div, first, last, sy, sz, cx, cy, cz,
-                                   ap, omega});
-      } else {
-        for (size_t c = first; c <= last; c += 2) {
-          // Neighbors of a red cell are all black (and vice versa), so
-          // they are loop-invariant within the sweep: pair the opposite
-          // faces before scaling.
-          const double sum = cx * (p[c - sx] + p[c + sx]) +
-                             cy * (p[c - sy] + p[c + sy]) +
-                             cz * (p[c - sz] + p[c + sz]);
-          p[c] += omega * ((sum - div[c]) * inv_ap_core - p[c]);
-        }
-      }
-      // At nx = 3 the one interior cell is both row ends, done above.
-      if (((nx - 2) & 1) == par && nx > 3) general_cell(nx - 2, j, k);
-    };
-
-    // One parallel region per solve: each participant owns a fixed,
-    // balanced run of (j, k) rows for the RHS and every sweep, so the split
-    // is not capped by nz. Rows are numbered k-fastest, so a run is a slab
-    // of whole j columns and neighbouring participants share an nx-by-nz
-    // face (the smaller one on the fabric mesh). A colour only reads the
-    // other colour, so its rows are independent and the only
-    // synchronisation is one barrier between consecutive sweeps; the RHS
-    // needs none, since each cell's div is written and read by the
-    // participant owning its row.
-    const int col_len = nz - 2;
-    const size_t rows = interior_cells_ == 0
-                            ? 0
-                            : static_cast<size_t>(ny - 2) *
-                                  static_cast<size_t>(col_len);
-    const int sweeps = 2 * std::max(0, params_.poisson_iters);
-    const auto solve = [&](const Region& region) {
-      const auto [rb, re] = region.Share(rows);
-      const auto for_rows = [&](auto&& fn) {
-        if (rb == re) return;
-        int k = 1 + static_cast<int>(rb % static_cast<size_t>(col_len));
-        int j = 1 + static_cast<int>(rb / static_cast<size_t>(col_len));
-        for (size_t r = rb; r < re; ++r) {
-          fn(j, k);
-          if (++k == nz - 1) {
-            k = 1;
-            ++j;
-          }
-        }
-      };
-      // RHS: divergence of the provisional velocity / dt.
-      const double* XG_RESTRICT u = cur_.u.data();
-      const double* XG_RESTRICT v = cur_.v.data();
-      const double* XG_RESTRICT w = cur_.w.data();
-      for_rows([&](int j, int k) {
-        size_t c = mesh_.Index(1, j, k);
-        for (int i = 1; i < nx - 1; ++i, ++c) {
-          div[c] = ((u[c + sx] - u[c - sx]) * idx2 +
-                    (v[c + sy] - v[c - sy]) * idy2 +
-                    (w[c + sz] - w[c - sz]) * idz2) /
-                   dt;
-        }
-      });
-      for (int sweep = 0; sweep < sweeps; ++sweep) {
-        if (sweep > 0) region.Barrier();
-        for_rows([&](int j, int k) { sweep_row(j, k, sweep & 1); });
-      }
-    };
-    if (pool_ != nullptr && interior_cells_ >= kMinPooledSorCells) {
-      pool_->ParallelRegion(solve);
+  // Red-black SOR. Outflow lateral faces carry Dirichlet p = 0 ghosts (an
+  // all-Neumann problem would be singular); inflow, ground, and top faces
+  // are Neumann. Cells whose six neighbors are all interior share one
+  // constant diagonal, so the bulk of each sweep runs a branch-free
+  // stride-2 span multiplying by the precomputed reciprocal diagonal.
+  // Shell rows (next to a y or z face, or every row when nx < 6) run the
+  // row-constant span (ShellSpan) with the diagonal and neighbour set of
+  // the row; only the two row ends take the general wind-dependent form
+  // (where the division also guards ap == 0).
+  const double ap_core = cx + cx + cy + cy + cz + cz;
+  const double inv_ap_core = 1.0 / ap_core;
+  const auto general_cell = [&](int i, int j, int k) {
+    const size_t c = mesh_.Index(i, j, k);
+    double ap = 0.0, sum = 0.0;
+    // x- neighbor
+    if (i > 1) { ap += cx; sum += cx * p[c - sx]; }
+    else if (wx <= 0) { ap += cx; }  // Dirichlet ghost p=0 (outflow)
+    if (i < nx - 2) { ap += cx; sum += cx * p[c + sx]; }
+    else if (wx >= 0) { ap += cx; }
+    if (j > 1) { ap += cy; sum += cy * p[c - sy]; }
+    else if (wy <= 0) { ap += cy; }
+    if (j < ny - 2) { ap += cy; sum += cy * p[c + sy]; }
+    else if (wy >= 0) { ap += cy; }
+    if (k > 1) { ap += cz; sum += cz * p[c - sz]; }
+    if (k < nz - 2) { ap += cz; sum += cz * p[c + sz]; }
+    if (ap <= 0.0) return;
+    const double p_gs = (sum - div[c]) / ap;
+    p[c] = (1.0 - omega) * p[c] + omega * p_gs;
+  };
+  // One colour's cells of row (j, k): those with (i & 1) == par.
+  const auto sweep_row = [&](int j, int k, int color) {
+    const int par = (color ^ ((j + k) & 1)) & 1;
+    if (par == 1) general_cell(1, j, k);
+    const size_t row = mesh_.Index(0, j, k);
+    const size_t first = row + 2 + static_cast<size_t>(par);
+    const size_t last = row + static_cast<size_t>(nx - 3);
+    if (nx < 6 || k == 1 || k == nz - 2 || j == 1 || j == ny - 2) {
+      // The span cells' x neighbours are interior; the row fixes which
+      // y/z neighbours are, and the diagonal accumulates them in
+      // general_cell's order so every update is bit-identical to it.
+      double ap = 0.0;
+      ap += cx;
+      ap += cx;
+      if (j > 1 || wy <= 0) ap += cy;
+      if (j < ny - 2 || wy >= 0) ap += cy;
+      if (k > 1) ap += cz;
+      if (k < nz - 2) ap += cz;
+      const unsigned mask = (j > 1 ? kShellYm : 0u) |
+                            (j < ny - 2 ? kShellYp : 0u) |
+                            (k > 1 ? kShellZm : 0u) |
+                            (k < nz - 2 ? kShellZp : 0u);
+      kShellSpans[mask](ShellRow{p, div, first, last, sy, sz, cx, cy, cz,
+                                 ap, omega});
     } else {
-      RunRegionInline(solve);
+      for (size_t c = first; c <= last; c += 2) {
+        // Neighbors of a red cell are all black (and vice versa), so
+        // they are loop-invariant within the sweep: pair the opposite
+        // faces before scaling.
+        const double sum = cx * (p[c - sx] + p[c + sx]) +
+                           cy * (p[c - sy] + p[c + sy]) +
+                           cz * (p[c - sz] + p[c + sz]);
+        p[c] += omega * ((sum - div[c]) * inv_ap_core - p[c]);
+      }
     }
-    total_updates_ += interior_cells_ * static_cast<uint64_t>(sweeps / 2);
+    // At nx = 3 the one interior cell is both row ends, done above.
+    if (((nx - 2) & 1) == par && nx > 3) general_cell(nx - 2, j, k);
+  };
 
-    // Mirror pressure onto boundary cells for the gradient step.
-    for (int k = 0; k < nz; ++k) {
-      for (int j = 0; j < ny; ++j) {
-        p[mesh_.Index(0, j, k)] = wx > 0 ? p[mesh_.Index(1, j, k)] : 0.0;
-        p[mesh_.Index(nx - 1, j, k)] =
-            wx < 0 ? p[mesh_.Index(nx - 2, j, k)] : 0.0;
-      }
-      for (int i = 0; i < nx; ++i) {
-        p[mesh_.Index(i, 0, k)] = wy > 0 ? p[mesh_.Index(i, 1, k)] : 0.0;
-        p[mesh_.Index(i, ny - 1, k)] =
-            wy < 0 ? p[mesh_.Index(i, ny - 2, k)] : 0.0;
+  // Each participant owns a fixed, balanced run of (j, k) rows for the RHS
+  // and every sweep, so the split is not capped by nz. Rows are numbered
+  // k-fastest here, so a run is a slab of whole j columns and neighbouring
+  // participants share an nx-by-nz face (the smaller one on the fabric
+  // mesh). A colour only reads the other colour, so its rows are
+  // independent and the only synchronisation is one barrier between
+  // consecutive sweeps; the RHS needs none, since each cell's div is
+  // written and read by the participant owning its row.
+  const int col_len = nz - 2;
+  const int sweeps = 2 * std::max(0, params_.poisson_iters);
+  const auto [rb, re] = region.Share(interior_rows_);
+  const auto for_rows = [&](auto&& fn) {
+    if (rb == re) return;
+    int k = 1 + static_cast<int>(rb % static_cast<size_t>(col_len));
+    int j = 1 + static_cast<int>(rb / static_cast<size_t>(col_len));
+    for (size_t r = rb; r < re; ++r) {
+      fn(j, k);
+      if (++k == nz - 1) {
+        k = 1;
+        ++j;
       }
     }
-    for (int j = 0; j < ny; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        p[mesh_.Index(i, j, 0)] = p[mesh_.Index(i, j, 1)];
-        p[mesh_.Index(i, j, nz - 1)] = p[mesh_.Index(i, j, nz - 2)];
-      }
+  };
+  // RHS: divergence of the provisional velocity / dt.
+  const double* XG_RESTRICT u = cur_.u.data();
+  const double* XG_RESTRICT v = cur_.v.data();
+  const double* XG_RESTRICT w = cur_.w.data();
+  for_rows([&](int j, int k) {
+    size_t c = mesh_.Index(1, j, k);
+    for (int i = 1; i < nx - 1; ++i, ++c) {
+      div[c] = ((u[c + sx] - u[c - sx]) * idx2 +
+                (v[c + sy] - v[c - sy]) * idy2 +
+                (w[c + sz] - w[c - sz]) * idz2) /
+               dt;
     }
+  });
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    if (sweep > 0) region.Barrier();
+    for_rows([&](int j, int k) { sweep_row(j, k, sweep & 1); });
   }
-
-  // Residual of the last sweep (max |Ap - b| scaled), for diagnostics.
-  obs::KernelScope ks(timer_, "residual");
-  stats.poisson_residual = ReduceSlabs(
-      0.0,
-      [&](int kb, int ke) {
-        double local = 0.0;
-        for (int k = kb; k < ke; ++k) {
-          for (int j = 1; j < ny - 1; ++j) {
-            size_t c = mesh_.Index(1, j, k);
-            for (int i = 1; i < nx - 1; ++i, ++c) {
-              const double lap = cx * (p[c + sx] - 2 * p[c] + p[c - sx]) +
-                                 cy * (p[c + sy] - 2 * p[c] + p[c - sy]) +
-                                 cz * (p[c + sz] - 2 * p[c] + p[c - sz]);
-              local = std::max(local, std::abs(lap - div[c]));
-            }
-          }
-        }
-        return local;
-      },
-      [](double a, double b) { return std::max(a, b); });
 }
 
-void Solver::Project() {
+void Solver::MirrorPressure() {
+  const int nx = mesh_.nx(), ny = mesh_.ny(), nz = mesh_.nz();
+  double wx, wy;
+  WindVector(wx, wy);
+  double* XG_RESTRICT p = p_.data();
+  for (int k = 0; k < nz; ++k) {
+    for (int j = 0; j < ny; ++j) {
+      p[mesh_.Index(0, j, k)] = wx > 0 ? p[mesh_.Index(1, j, k)] : 0.0;
+      p[mesh_.Index(nx - 1, j, k)] =
+          wx < 0 ? p[mesh_.Index(nx - 2, j, k)] : 0.0;
+    }
+    for (int i = 0; i < nx; ++i) {
+      p[mesh_.Index(i, 0, k)] = wy > 0 ? p[mesh_.Index(i, 1, k)] : 0.0;
+      p[mesh_.Index(i, ny - 1, k)] =
+          wy < 0 ? p[mesh_.Index(i, ny - 2, k)] : 0.0;
+    }
+  }
+  for (int j = 0; j < ny; ++j) {
+    for (int i = 0; i < nx; ++i) {
+      p[mesh_.Index(i, j, 0)] = p[mesh_.Index(i, j, 1)];
+      p[mesh_.Index(i, j, nz - 1)] = p[mesh_.Index(i, j, nz - 2)];
+    }
+  }
+}
+
+double Solver::PoissonResidual(size_t rb, size_t re) const {
+  const double cx = 1.0 / (mesh_.dx() * mesh_.dx());
+  const double cy = 1.0 / (mesh_.dy() * mesh_.dy());
+  const double cz = 1.0 / (mesh_.dz() * mesh_.dz());
+  const int nx = mesh_.nx(), ny = mesh_.ny();
+  const size_t sx = 1, sy = static_cast<size_t>(nx),
+               sz = static_cast<size_t>(nx) * static_cast<size_t>(ny);
+  const double* XG_RESTRICT p = p_.data();
+  const double* XG_RESTRICT div = div_.data();
+  double local = 0.0;
+  ForRows(rb, re, [&](size_t cb, size_t ce) {
+    for (size_t c = cb; c < ce; ++c) {
+      const double lap = cx * (p[c + sx] - 2 * p[c] + p[c - sx]) +
+                         cy * (p[c + sy] - 2 * p[c] + p[c - sy]) +
+                         cz * (p[c + sz] - 2 * p[c] + p[c - sz]);
+      local = std::max(local, std::abs(lap - div[c]));
+    }
+  });
+  return local;
+}
+
+void Solver::Project(size_t rb, size_t re) {
   const double dt = params_.dt_s;
   const double idx2 = 1.0 / (2.0 * mesh_.dx()), idy2 = 1.0 / (2.0 * mesh_.dy()),
                idz2 = 1.0 / (2.0 * mesh_.dz());
@@ -582,48 +536,126 @@ void Solver::Project() {
   double* XG_RESTRICT u = cur_.u.data();
   double* XG_RESTRICT v = cur_.v.data();
   double* XG_RESTRICT w = cur_.w.data();
-  ForSlabs([&](int kb, int ke) {
-    for (int k = kb; k < ke; ++k) {
-      for (int j = 1; j < ny - 1; ++j) {
-        size_t c = mesh_.Index(1, j, k);
-        for (int i = 1; i < nx - 1; ++i, ++c) {
-          u[c] -= dt * (p[c + sx] - p[c - sx]) * idx2;
-          v[c] -= dt * (p[c + sy] - p[c - sy]) * idy2;
-          w[c] -= dt * (p[c + sz] - p[c - sz]) * idz2;
-        }
-      }
+  ForRows(rb, re, [&](size_t cb, size_t ce) {
+    for (size_t c = cb; c < ce; ++c) {
+      u[c] -= dt * (p[c + sx] - p[c - sx]) * idx2;
+      v[c] -= dt * (p[c + sy] - p[c - sy]) * idy2;
+      w[c] -= dt * (p[c + sz] - p[c - sz]) * idz2;
     }
   });
-  ApplyBounds(cur_, false);
-  total_updates_ += interior_cells_;
 }
 
-StepStats Solver::Step() {
-  StepStats stats;
-  {
-    obs::KernelScope ks(timer_, "advect");
-    Advect();
-  }
-  {
-    obs::KernelScope ks(timer_, "diffuse_force");
-    DiffuseAndForce();
-  }
-  SolvePressure(stats);
-  {
-    obs::KernelScope ks(timer_, "project");
-    Project();
-  }
-  {
-    obs::KernelScope ks(timer_, "max_divergence");
-    stats.max_divergence = MaxDivergence();
-  }
-  stats.cell_updates = total_updates_;
-  return stats;
+double Solver::MaxDivergence(size_t rb, size_t re) const {
+  const double idx2 = 1.0 / (2.0 * mesh_.dx()), idy2 = 1.0 / (2.0 * mesh_.dy()),
+               idz2 = 1.0 / (2.0 * mesh_.dz());
+  const int nx = mesh_.nx(), ny = mesh_.ny();
+  const size_t sx = 1, sy = static_cast<size_t>(nx),
+               sz = static_cast<size_t>(nx) * static_cast<size_t>(ny);
+  const double* XG_RESTRICT u = cur_.u.data();
+  const double* XG_RESTRICT v = cur_.v.data();
+  const double* XG_RESTRICT w = cur_.w.data();
+  double local = 0.0;
+  ForRows(rb, re, [&](size_t cb, size_t ce) {
+    for (size_t c = cb; c < ce; ++c) {
+      const double d = (u[c + sx] - u[c - sx]) * idx2 +
+                       (v[c + sy] - v[c - sy]) * idy2 +
+                       (w[c + sz] - w[c - sz]) * idz2;
+      local = std::max(local, std::abs(d));
+    }
+  });
+  return local;
 }
+
+double Solver::MaxDivergence() const { return MaxDivergence(0, interior_rows_); }
+
+StepStats Solver::Step() { return Run(1); }
 
 StepStats Solver::Run(int steps) {
   StepStats last;
-  for (int s = 0; s < steps; ++s) last = Step();
+  const bool pooled = pool_ != nullptr && interior_cells_ >= kMinPooledCells;
+  // Per-participant maxima, each on its own cache line so concurrent
+  // writes never share one; a max does not depend on the order it is
+  // folded in, so the stats are bitwise those of the serial run.
+  struct alignas(64) Maxima {
+    double residual = 0.0;
+    double divergence = 0.0;
+  };
+  std::vector<Maxima> maxima(pooled ? pool_->size() : 1);
+  const uint64_t updates_per_step =
+      interior_cells_ *
+      static_cast<uint64_t>(3 + std::max(0, params_.poisson_iters));
+
+  // The whole run is one region. Every participant steps through the same
+  // phases over its share of rows, and a barrier closes each phase; the
+  // boundary sweeps between them are serial, on participant 0, which also
+  // opens the kernel scopes (one observation per kernel per step, and the
+  // injected clock is only read from one thread). Advect writes prev_ from
+  // cur_ and DiffuseAndForce writes cur_ back from prev_; each phase plus
+  // its boundary sweep rewrites every cell of its target.
+  const auto run = [&](const Region& region) {
+    const bool lead = region.worker() == 0;
+    obs::KernelTimer* const timer = lead ? timer_ : nullptr;
+    const auto [rb, re] = region.Share(interior_rows_);
+    Maxima& mine = maxima[region.worker()];
+    for (int s = 0; s < steps; ++s) {
+      {
+        obs::KernelScope ks(timer, "advect");
+        Advect(rb, re);
+        region.Barrier();
+        if (lead) ApplyBounds(prev_, true);
+        region.Barrier();
+      }
+      {
+        obs::KernelScope ks(timer, "diffuse_force");
+        DiffuseAndForce(rb, re);
+        region.Barrier();
+        if (lead) ApplyBounds(cur_, true);
+        region.Barrier();
+      }
+      {
+        obs::KernelScope ks(timer, "sor");
+        SolvePressure(region);
+        region.Barrier();
+        if (lead) MirrorPressure();
+        region.Barrier();
+      }
+      {
+        // Residual of the last sweep (max |Ap - b| scaled), for diagnostics.
+        obs::KernelScope ks(timer, "residual");
+        mine.residual = PoissonResidual(rb, re);
+        region.Barrier();
+      }
+      {
+        obs::KernelScope ks(timer, "project");
+        Project(rb, re);
+        region.Barrier();
+        if (lead) ApplyBounds(cur_, false);
+        region.Barrier();
+      }
+      {
+        obs::KernelScope ks(timer, "max_divergence");
+        mine.divergence = MaxDivergence(rb, re);
+        region.Barrier();
+      }
+      if (lead) {
+        // The others write their slots again only after the next step's
+        // first barrier, which this participant has not reached yet.
+        StepStats stats;
+        for (const Maxima& m : maxima) {
+          stats.poisson_residual = std::max(stats.poisson_residual, m.residual);
+          stats.max_divergence = std::max(stats.max_divergence, m.divergence);
+        }
+        total_updates_ += updates_per_step;
+        stats.cell_updates = total_updates_;
+        last = stats;
+      }
+    }
+  };
+  if (pooled) {
+    pool_->ParallelRegion(run);
+  } else {
+    RunRegionInline(run);
+  }
   return last;
 }
 
@@ -646,82 +678,35 @@ double Solver::TemperatureAtPoint(double x, double y, double z) const {
 }
 
 double Solver::InteriorMeanSpeed() const {
-  const int nx = mesh_.nx(), ny = mesh_.ny();
   const unsigned char* XG_RESTRICT inside = mesh_.inside_house().data();
   const double* XG_RESTRICT u = cur_.u.data();
   const double* XG_RESTRICT v = cur_.v.data();
   const double* XG_RESTRICT w = cur_.w.data();
-  const SumCount total = ReduceSlabs(
-      SumCount{},
-      [&](int kb, int ke) {
-        SumCount part;
-        for (int k = kb; k < ke; ++k) {
-          for (int j = 1; j < ny - 1; ++j) {
-            size_t c = mesh_.Index(1, j, k);
-            for (int i = 1; i < nx - 1; ++i, ++c) {
-              if (inside[c] == 0) continue;
-              part.sum += std::sqrt(u[c] * u[c] + v[c] * v[c] + w[c] * w[c]);
-              ++part.n;
-            }
-          }
-        }
-        return part;
-      },
-      &CombineSumCount);
-  return total.n == 0 ? 0.0 : total.sum / static_cast<double>(total.n);
+  double sum = 0.0;
+  uint64_t n = 0;
+  ForRows(0, interior_rows_, [&](size_t cb, size_t ce) {
+    for (size_t c = cb; c < ce; ++c) {
+      if (inside[c] == 0) continue;
+      sum += std::sqrt(u[c] * u[c] + v[c] * v[c] + w[c] * w[c]);
+      ++n;
+    }
+  });
+  return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
 double Solver::InteriorMeanTemperature() const {
-  const int nx = mesh_.nx(), ny = mesh_.ny();
   const unsigned char* XG_RESTRICT inside = mesh_.inside_house().data();
   const double* XG_RESTRICT t = cur_.t.data();
-  const SumCount total = ReduceSlabs(
-      SumCount{},
-      [&](int kb, int ke) {
-        SumCount part;
-        for (int k = kb; k < ke; ++k) {
-          for (int j = 1; j < ny - 1; ++j) {
-            size_t c = mesh_.Index(1, j, k);
-            for (int i = 1; i < nx - 1; ++i, ++c) {
-              if (inside[c] == 0) continue;
-              part.sum += t[c];
-              ++part.n;
-            }
-          }
-        }
-        return part;
-      },
-      &CombineSumCount);
-  return total.n == 0 ? 0.0 : total.sum / static_cast<double>(total.n);
-}
-
-double Solver::MaxDivergence() const {
-  const double idx2 = 1.0 / (2.0 * mesh_.dx()), idy2 = 1.0 / (2.0 * mesh_.dy()),
-               idz2 = 1.0 / (2.0 * mesh_.dz());
-  const int nx = mesh_.nx(), ny = mesh_.ny();
-  const size_t sx = 1, sy = static_cast<size_t>(nx),
-               sz = static_cast<size_t>(nx) * static_cast<size_t>(ny);
-  const double* XG_RESTRICT u = cur_.u.data();
-  const double* XG_RESTRICT v = cur_.v.data();
-  const double* XG_RESTRICT w = cur_.w.data();
-  return ReduceSlabs(
-      0.0,
-      [&](int kb, int ke) {
-        double local = 0.0;
-        for (int k = kb; k < ke; ++k) {
-          for (int j = 1; j < ny - 1; ++j) {
-            size_t c = mesh_.Index(1, j, k);
-            for (int i = 1; i < nx - 1; ++i, ++c) {
-              const double d = (u[c + sx] - u[c - sx]) * idx2 +
-                               (v[c + sy] - v[c - sy]) * idy2 +
-                               (w[c + sz] - w[c - sz]) * idz2;
-              local = std::max(local, std::abs(d));
-            }
-          }
-        }
-        return local;
-      },
-      [](double a, double b) { return std::max(a, b); });
+  double sum = 0.0;
+  uint64_t n = 0;
+  ForRows(0, interior_rows_, [&](size_t cb, size_t ce) {
+    for (size_t c = cb; c < ce; ++c) {
+      if (inside[c] == 0) continue;
+      sum += t[c];
+      ++n;
+    }
+  });
+  return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
 }  // namespace xg::cfd

@@ -18,23 +18,23 @@
 // ground, and free-slip top.
 //
 // Hot-path layout (see DESIGN.md "CFD hot path"): the transported fields
-// live in a double-buffered SoA set — Advect and DiffuseAndForce swap the
-// current/previous buffers instead of copying five full vectors per step,
-// and each stage ends with one fused boundary sweep. Per-cell type, drag,
-// and heat-source arrays are precomputed so no geometry predicate runs
-// inside a kernel. Reductions (Poisson residual, max divergence, interior
-// means) run as ParallelReduce over horizontal slabs with deterministic
-// combine order.
+// live in a double-buffered SoA set — Advect writes the previous buffer
+// from the current one and DiffuseAndForce writes it back, instead of
+// copying five full vectors per step, and each stage ends with one fused
+// boundary sweep. Per-cell type, drag, and heat-source arrays are
+// precomputed so no geometry predicate runs inside a kernel.
 //
-// The solver runs on a ThreadPool: the single-pass kernels are
-// domain-decomposed over horizontal slabs, one fork-join each, while the
-// pressure solve runs as one parallel region over (j, k) rows with a spin
-// barrier between colour sweeps (serial below a small-grid cutoff; the
-// fields are bitwise the same either way). Cell-update counts are exposed
-// so the HPC performance model can be calibrated against real measured
-// per-cell cost. A KernelTimer can
-// be attached to record per-kernel times into a metrics registry (clock
-// injected by the caller; detached timing costs one pointer test).
+// The solver runs on a ThreadPool: each Run(n) is one parallel region.
+// Every participant keeps a fixed share of the interior (j, k) rows for all
+// n steps and the participants meet at a spin barrier between phases;
+// participant 0 alone runs the boundary sweeps between them and folds the
+// per-participant residual and divergence maxima. Below a small-grid
+// cutoff the same body runs inline on the calling thread, and the fields
+// and stats are bitwise the same either way. Cell-update counts are
+// exposed so the HPC performance model can be calibrated against real
+// measured per-cell cost. A KernelTimer can be attached to record
+// per-kernel times into a metrics registry (clock injected by the caller;
+// detached timing costs one pointer test).
 #pragma once
 
 #include <cstdint>
@@ -76,8 +76,9 @@ struct StepStats {
 };
 
 /// SoA buffer set for the transported fields (u, v, w, T). The solver
-/// holds two: swapping them is the zero-copy replacement for the old
-/// "copy current into scratch, then overwrite current" stepping.
+/// holds two and ping-pongs between them within a step, the zero-copy
+/// replacement for the old "copy current into scratch, then overwrite
+/// current" stepping.
 struct Fields {
   std::vector<double> u, v, w, t;
 
@@ -95,7 +96,10 @@ class Solver {
   Solver(const Mesh& mesh, SolverParams params, ThreadPool* pool = nullptr);
 
   void Initialize(const Boundary& bc);
+  /// Run(1).
   StepStats Step();
+  /// Advance `steps` steps as one parallel region (inline when serial or
+  /// below the small-grid cutoff); returns the last step's stats.
   StepStats Run(int steps);
 
   const Mesh& mesh() const { return mesh_; }
@@ -139,21 +143,26 @@ class Solver {
   /// One fused boundary sweep: velocity faces and, when `with_scalar`,
   /// the temperature faces in the same traversal.
   void ApplyBounds(Fields& f, bool with_scalar) const;
-  void Advect();
-  void DiffuseAndForce();
-  void SolvePressure(StepStats& stats);
-  void Project();
+  /// The single-pass kernels over interior rows [rb, re) of ForRows:
+  /// Advect writes prev_ from cur_, DiffuseAndForce writes cur_ from prev_.
+  void Advect(size_t rb, size_t re);
+  void DiffuseAndForce(size_t rb, size_t re);
+  void Project(size_t rb, size_t re);
+  /// Max |Ap - b| and max |div u| over interior rows [rb, re).
+  double PoissonResidual(size_t rb, size_t re) const;
+  double MaxDivergence(size_t rb, size_t re) const;
+  /// Pressure RHS and every red-black sweep over this participant's rows.
+  void SolvePressure(const Region& region);
+  /// Mirror pressure onto boundary cells for the gradient step.
+  void MirrorPressure();
   /// Inward wind components (+x east-to-west etc.) from the boundary.
   void WindVector(double& wx, double& wy) const;
 
-  /// Run body(kb, ke) over the interior slab range k in [1, nz-1),
-  /// decomposed across the pool when one is attached.
-  template <typename Body>
-  void ForSlabs(Body&& body) const;
-  /// Reduce map(kb, ke) -> T over the interior slab range with a
-  /// deterministic combine order (serial fallback evaluates map once).
-  template <typename T, typename Map, typename Combine>
-  T ReduceSlabs(T identity, Map&& map, Combine&& combine) const;
+  /// Run fn(first, end) over the interior cells of rows [rb, re) of the
+  /// single-pass kernels. Rows are numbered j-fastest, so [0, rows) is the
+  /// k-outer, j-inner serial traversal.
+  template <typename Fn>
+  void ForRows(size_t rb, size_t re, Fn&& fn) const;
 
   const Mesh& mesh_;
   SolverParams params_;
@@ -166,6 +175,8 @@ class Solver {
   /// canopy heat increment, baked from mesh cell types and params.
   std::vector<double> cell_drag_, cell_heat_;
   uint64_t interior_cells_ = 0;
+  /// Interior (j, k) rows: (ny-2)(nz-2), or 0 without interior cells.
+  size_t interior_rows_ = 0;
   uint64_t total_updates_ = 0;
 };
 

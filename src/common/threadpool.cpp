@@ -5,10 +5,10 @@
 namespace xg {
 
 namespace {
-// Set while a worker thread executes a task, so a nested ParallelFor /
-// ParallelReduce / RunOnAll / ParallelRegion issued from inside a task body
-// can be detected: the nested call would wait on cv_done_ from the very
-// thread the pool needs to finish the outer task — a guaranteed deadlock.
+// Set while a worker thread executes a task, so a nested ParallelRegion
+// issued from inside a region body can be detected: the nested call would
+// wait on cv_done_ from the very thread the pool needs to finish the outer
+// task — a guaranteed deadlock.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 
 /// Pause hints a barrier waiter issues before it starts yielding the core:
@@ -52,7 +52,6 @@ ThreadPool::ThreadPool(size_t threads) {
   if (threads == 0) {
     threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
-  ranges_.assign(threads, {0, 0});
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -76,24 +75,20 @@ void ThreadPool::WorkerLoop(size_t index) {
   for (;;) {
     RawFn fn = nullptr;
     void* ctx = nullptr;
-    std::pair<size_t, size_t> range{0, 0};
     {
       MutexLock lk(mu_);
       while (!shutdown_ && generation_ == seen) cv_start_.Wait(mu_);
       if (shutdown_) return;
       seen = generation_;
       // Copy what this worker needs, then run unlocked. The submitter keeps
-      // fn_/ctx_/ranges_ alive until the join completes, and holds
-      // submit_mu_ so no other task can overwrite them mid-flight.
+      // fn_/ctx_ alive until the join completes, and holds submit_mu_ so
+      // no other task can overwrite them mid-flight.
       fn = fn_;
       ctx = ctx_;
-      if (index < ranges_.size()) range = ranges_[index];
     }
 
     tl_worker_pool = this;
-    if (fn != nullptr && range.second > range.first) {
-      fn(ctx, range.first, range.second, index);
-    }
+    if (fn != nullptr) fn(ctx, index);
     tl_worker_pool = nullptr;
 
     MutexLock lk(mu_);
@@ -101,23 +96,15 @@ void ThreadPool::WorkerLoop(size_t index) {
   }
 }
 
-void ThreadPool::Dispatch(size_t n, RawFn fn, void* ctx) {
-  // Serialize independent submitters: two concurrent fork-joins would race
-  // on the shared task slot and lose work. Taken only after the nesting
-  // check, so a worker thread can never self-deadlock here.
+void ThreadPool::Dispatch(RawFn fn, void* ctx) {
+  // Serialize independent submitters: two concurrent regions would race on
+  // the shared task slot and lose work. Taken only after the nesting check,
+  // so a worker thread can never self-deadlock here.
   MutexLock submit_lk(submit_mu_);
-  const size_t workers = workers_.size();
-  const size_t chunk = (n + workers - 1) / workers;
   MutexLock lk(mu_);
-  ranges_.resize(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    const size_t b = std::min(n, i * chunk);
-    const size_t e = std::min(n, b + chunk);
-    ranges_[i] = {b, e};
-  }
   fn_ = fn;
   ctx_ = ctx;
-  remaining_ = workers;
+  remaining_ = workers_.size();
   ++generation_;
   cv_start_.NotifyAll();
   while (remaining_ != 0) cv_done_.Wait(mu_);

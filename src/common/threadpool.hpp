@@ -1,29 +1,24 @@
-// Fork-join worker pool used by the CFD solver for domain-decomposed
-// parallel loops (the stand-in for OpenFOAM's per-core decomposition).
+// Worker pool used by the CFD solver for domain-decomposed parallel
+// regions (the stand-in for OpenFOAM's per-core decomposition).
 //
-// The pool keeps N persistent workers; ParallelFor partitions an index range
-// into contiguous chunks (one per worker, matching the solver's slab
-// decomposition) and blocks until all chunks finish. ParallelReduce adds
-// per-worker partials combined in worker order, so a reduction over a fixed
-// worker count is deterministic run to run.
+// The pool keeps N persistent workers and has one parallel entry point:
+// ParallelRegion runs one body on every worker at once and blocks until all
+// return. Each participant takes a fixed share of the work (Region::Share)
+// and keeps it across phases, meeting the others at a SpinBarrier between
+// them, so a phase costs a barrier rather than a condvar-woken fork-join.
+// Reductions are written in the body: each participant fills its own
+// padded slot, and one participant folds the slots after a barrier.
 //
-// ParallelRegion runs one body on every worker at once, for loops that need
-// many short phases (the CFD pressure solve's red-black sweeps): each
-// participant keeps a fixed share of the work across phases and meets the
-// others at a SpinBarrier between them, so a phase costs a barrier rather
-// than a condvar-woken fork-join.
-//
-// All entry points are templates dispatched through a raw function-pointer
+// ParallelRegion is a template dispatched through a raw function-pointer
 // trampoline: the callable lives on the submitter's stack and is passed by
-// address, so a fork-join costs no std::function construction and no heap
-// allocation (the chunk table is a buffer reused across submissions).
+// address, so a dispatch costs no std::function construction and no heap
+// allocation.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -102,77 +97,12 @@ class ThreadPool {
 
   size_t size() const { return workers_.size(); }
 
-  /// Run fn(begin, end) over [0, n) split into one contiguous chunk per
-  /// worker; blocks until every chunk completes. Calls from the body must
-  /// not touch the pool (no nesting): a nested call degrades to inline
-  /// execution and flags a contract violation.
-  template <typename Fn>
-  void ParallelFor(size_t n, Fn&& fn) {
-    if (n == 0) return;
-    XG_INVARIANT(!OnWorkerThread(),
-                 "nested ParallelFor on the same ThreadPool would deadlock");
-    if (OnWorkerThread()) {
-      fn(size_t{0}, n);
-      return;
-    }
-    using Body = std::remove_reference_t<Fn>;
-    Dispatch(n, &RangeTrampoline<Body>, const_cast<void*>(
-                    static_cast<const void*>(std::addressof(fn))));
-  }
-
-  /// Parallel reduction over [0, n): each worker computes
-  /// `map(begin, end) -> T` for its chunk, then the partials are folded as
-  /// `acc = combine(acc, partial)` in ascending worker order starting from
-  /// `identity`. Workers whose chunk is empty contribute `identity`, so the
-  /// result only depends on n, the worker count, and the data — not on
-  /// scheduling. Same nesting contract as ParallelFor.
-  template <typename T, typename MapFn, typename CombineFn>
-  T ParallelReduce(size_t n, T identity, MapFn&& map, CombineFn&& combine) {
-    if (n == 0) return identity;
-    XG_INVARIANT(!OnWorkerThread(),
-                 "nested ParallelReduce on the same ThreadPool would deadlock");
-    if (OnWorkerThread()) {
-      return combine(identity, map(size_t{0}, n));
-    }
-    // Cache-line-size the slots so concurrent partial writes never share.
-    struct alignas(64) Slot {
-      T value;
-    };
-    std::vector<Slot> partials(workers_.size(), Slot{identity});
-    auto body = [&](size_t begin, size_t end, size_t worker) {
-      partials[worker].value = map(begin, end);
-    };
-    using Body = decltype(body);
-    Dispatch(n, &WorkerRangeTrampoline<Body>,
-             const_cast<void*>(static_cast<const void*>(&body)));
-    T acc = std::move(identity);
-    for (Slot& s : partials) acc = combine(acc, s.value);
-    return acc;
-  }
-
-  /// Run fn(worker_index) once on each worker and block until all return.
-  template <typename Fn>
-  void RunOnAll(Fn&& fn) {
-    XG_INVARIANT(!OnWorkerThread(),
-                 "nested RunOnAll on the same ThreadPool would deadlock");
-    if (OnWorkerThread()) {
-      fn(size_t{0});
-      return;
-    }
-    // One unit of work per worker: chunking assigns index w to worker w.
-    auto body = [&](size_t begin, size_t end, size_t) {
-      for (size_t i = begin; i < end; ++i) fn(i);
-    };
-    using Body = decltype(body);
-    Dispatch(workers_.size(), &WorkerRangeTrampoline<Body>,
-             const_cast<void*>(static_cast<const void*>(&body)));
-  }
-
   /// Run fn(const Region&) once on every worker, concurrently, and block
   /// until all return. The participants share one SpinBarrier for the whole
   /// region (Region::Barrier), so a body can run many dependent phases for
-  /// one dispatch. Same nesting contract as ParallelFor: a nested call runs
-  /// fn inline as a one-participant region.
+  /// one dispatch. Calls from the body must not touch the pool (no
+  /// nesting): a nested call runs fn inline as a one-participant region
+  /// and flags a contract violation.
   template <typename Fn>
   void ParallelRegion(Fn&& fn) {
     XG_INVARIANT(!OnWorkerThread(),
@@ -182,52 +112,41 @@ class ThreadPool {
       return;
     }
     SpinBarrier barrier(workers_.size());
-    auto body = [&](size_t begin, size_t end, size_t) {
-      for (size_t i = begin; i < end; ++i) {
-        fn(Region(i, workers_.size(), &barrier));
-      }
+    auto body = [&](size_t worker) {
+      fn(Region(worker, workers_.size(), &barrier));
     };
     using Body = decltype(body);
-    Dispatch(workers_.size(), &WorkerRangeTrampoline<Body>,
-             const_cast<void*>(static_cast<const void*>(&body)));
+    Dispatch(&Trampoline<Body>, &body);
   }
 
   /// True when called from one of this pool's worker threads (i.e. from
-  /// inside a task body), where fork-join entry points must not be used.
+  /// inside a region body), where ParallelRegion must not be used.
   bool OnWorkerThread() const;
 
  private:
-  /// Type-erased task body: (ctx, begin, end, worker_index).
-  using RawFn = void (*)(void*, size_t, size_t, size_t);
+  /// Type-erased task body: (ctx, worker_index).
+  using RawFn = void (*)(void*, size_t);
 
   template <typename Body>
-  static void RangeTrampoline(void* ctx, size_t begin, size_t end,
-                              size_t /*worker*/) {
-    (*static_cast<Body*>(ctx))(begin, end);
-  }
-  template <typename Body>
-  static void WorkerRangeTrampoline(void* ctx, size_t begin, size_t end,
-                                    size_t worker) {
-    (*static_cast<Body*>(ctx))(begin, end, worker);
+  static void Trampoline(void* ctx, size_t worker) {
+    (*static_cast<Body*>(ctx))(worker);
   }
 
-  /// Partition [0, n) into one contiguous chunk per worker, run `fn` on the
-  /// workers, and block until every chunk completes. Serializes concurrent
-  /// external submitters (they would otherwise race on the task slot).
-  void Dispatch(size_t n, RawFn fn, void* ctx) XG_EXCLUDES(submit_mu_, mu_);
+  /// Run fn(ctx, worker) on every worker and block until all return.
+  /// Serializes concurrent external submitters (they would otherwise race
+  /// on the task slot).
+  void Dispatch(RawFn fn, void* ctx) XG_EXCLUDES(submit_mu_, mu_);
 
   void WorkerLoop(size_t index);
 
   std::vector<std::thread> workers_;  ///< immutable after construction
-  /// Serializes external fork-join submitters; always taken before mu_.
+  /// Serializes external submitters; always taken before mu_.
   Mutex submit_mu_ XG_ACQUIRED_BEFORE(mu_);
   Mutex mu_;
   CondVar cv_start_;
   CondVar cv_done_;
   RawFn fn_ XG_GUARDED_BY(mu_) = nullptr;
   void* ctx_ XG_GUARDED_BY(mu_) = nullptr;
-  /// Reused chunk table (one contiguous range per worker).
-  std::vector<std::pair<size_t, size_t>> ranges_ XG_GUARDED_BY(mu_);
   /// Bumps when a new task is posted.
   uint64_t generation_ XG_GUARDED_BY(mu_) = 0;
   /// Workers still running the current task.

@@ -168,7 +168,6 @@ class XG_SIM_THREAD_CONFINED AdvisoryServer {
   /// neither is valid.
   void RespondFallback(const Waiter& w, const ConditionKey& key,
                        AdmitDecision admit);
-  void ServeAdmitted(const ConditionKey& key, Waiter w);
   void JoinFlight(const ConditionKey& key, const FieldConditions& conditions,
                   Waiter w);
   void LaunchFlight(const ConditionKey& key);

@@ -158,9 +158,14 @@ TEST(Solver, EastAndWestWindsAreMirrorSymmetric) {
 }
 
 TEST(Solver, ParallelMatchesSerialBitwise) {
-  // Red-black SOR with slab decomposition is order-independent within a
-  // color, so the threaded run must reproduce the serial fields exactly.
-  Mesh mesh(SmallMesh());
+  // Red-black SOR over row shares is order-independent within a color, so
+  // the threaded run must reproduce the serial fields exactly. Each Step()
+  // is its own region; the mesh is above the solver's small-grid cutoff,
+  // so the pooled steps really run on the workers.
+  MeshParams mp = SmallMesh();
+  mp.nx = 48;
+  mp.ny = 40;
+  Mesh mesh(mp);
   Solver serial(mesh, SolverParams{});
   ThreadPool pool(4);
   Solver parallel(mesh, SolverParams{}, &pool);

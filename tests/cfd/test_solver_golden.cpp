@@ -75,6 +75,13 @@ Golden GoldenCase(int which) {
   return g;
 }
 
+/// The bit pattern of a double, so equality is exact (and -0.0 != 0.0).
+uint64_t Bits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
 void CheckAgainstGolden(const Solver& s, const StepStats& last,
                         const Golden& g) {
   EXPECT_NEAR(last.max_divergence, g.max_divergence, kTol);
@@ -121,26 +128,44 @@ TEST(SolverGolden, PooledMatchesPreOverhaulConfig2) {
   CheckAgainstGolden(s, last, g);
 }
 
-// The slab decomposition must not perturb the result at all: serial and
-// pooled runs go through identical per-cell arithmetic, so the full field
-// state (not just summary scalars) is required to match bitwise.
+// The decomposition must not perturb the result at all: serial and pooled
+// runs go through identical per-cell arithmetic, and the stats are maxima,
+// which do not depend on fold order, so the full field state, the last
+// step's stats and the interior means are required to match bitwise. The
+// mesh is the fabric's, above the solver's small-grid cutoff, so every pool
+// size really runs the step on its workers.
 TEST(SolverGolden, SerialAndPooledFieldsAgreeBitwise) {
-  Mesh mesh(GoldenMesh());
+  MeshParams mp;
+  mp.nx = 48;
+  mp.ny = 40;
+  mp.nz = 12;
+  Mesh mesh(mp);
   const Golden g = GoldenCase(0);
+  constexpr int kBitwiseSteps = 20;
   Solver serial(mesh, SolverParams{});
   serial.Initialize(g.bc);
-  serial.Run(kSteps);
+  const StepStats want = serial.Run(kBitwiseSteps);
 
-  ThreadPool pool(3);
-  Solver pooled(mesh, SolverParams{}, &pool);
-  pooled.Initialize(g.bc);
-  pooled.Run(kSteps);
+  for (size_t workers = 1; workers <= 4; ++workers) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    ThreadPool pool(workers);
+    Solver pooled(mesh, SolverParams{}, &pool);
+    pooled.Initialize(g.bc);
+    const StepStats got = pooled.Run(kBitwiseSteps);
 
-  ASSERT_EQ(serial.u(), pooled.u());
-  ASSERT_EQ(serial.v(), pooled.v());
-  ASSERT_EQ(serial.w(), pooled.w());
-  ASSERT_EQ(serial.temperature(), pooled.temperature());
-  ASSERT_EQ(serial.pressure(), pooled.pressure());
+    ASSERT_EQ(serial.u(), pooled.u());
+    ASSERT_EQ(serial.v(), pooled.v());
+    ASSERT_EQ(serial.w(), pooled.w());
+    ASSERT_EQ(serial.temperature(), pooled.temperature());
+    ASSERT_EQ(serial.pressure(), pooled.pressure());
+    EXPECT_EQ(Bits(got.max_divergence), Bits(want.max_divergence));
+    EXPECT_EQ(Bits(got.poisson_residual), Bits(want.poisson_residual));
+    EXPECT_EQ(got.cell_updates, want.cell_updates);
+    EXPECT_EQ(Bits(pooled.InteriorMeanSpeed()),
+              Bits(serial.InteriorMeanSpeed()));
+    EXPECT_EQ(Bits(pooled.InteriorMeanTemperature()),
+              Bits(serial.InteriorMeanTemperature()));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -156,9 +181,12 @@ TEST(SolverGolden, SerialAndPooledFieldsAgreeBitwise) {
 // Wind directions cover every sign of (wx, wy), the axis-aligned ones
 // included (at 0 deg wx is exactly -0.0, at 90/180/270 deg one component
 // is a rounding-sized residue of sin/cos). The meshes cover the default
-// fabric mesh, a small nz (whole rows of shell cells, kept serial by the
-// small-grid cutoff), and nx < 6 (every row takes the shell path, nx = 3
-// has one interior column whose two row ends coincide).
+// fabric mesh, a small nz (whole rows of shell cells), and nx < 6 (every
+// row takes the shell path, nx = 3 has one interior column whose two row
+// ends coincide). The last three are under the solver's small-grid cutoff
+// and run serially on any pool, so two meshes above it carry the same edge
+// cases onto the workers: 5x300x12 (nx < 6, every row a shell row) and
+// 4100x3x4 (two interior rows, so pools of 3 and 4 have empty shares).
 
 constexpr int kDigestSteps = 40;
 
@@ -167,8 +195,7 @@ uint64_t FnvDigest(const Solver& s) {
   for (const std::vector<double>* f :
        {&s.u(), &s.v(), &s.w(), &s.temperature(), &s.pressure()}) {
     for (double d : *f) {
-      uint64_t bits = 0;
-      std::memcpy(&bits, &d, sizeof bits);
+      const uint64_t bits = Bits(d);
       for (int b = 0; b < 8; ++b) {
         h ^= (bits >> (8 * b)) & 0xffu;
         h *= 1099511628211ull;
@@ -245,11 +272,27 @@ std::vector<DigestCase> DigestCases() {
        0x82835889935c331d, 0xbc73d6ae0f01fbdd, 0x5d361ce5a2130f7d,
        0x160fc7a53d185469, 0x73d578e3006a0765},
   };
+  // Recorded from the solver before the step became one region.
+  const int pooled_meshes[][3] = {{5, 300, 12}, {4100, 3, 4}};
+  const uint64_t pooled_digests[2][8] = {
+      {0x6781d337ede5bebd, 0xb41a57fa8cf499a5, 0x2b18a66a8725102a,
+       0x1e498748777620b6, 0x22619f151236bcef, 0xe6a68ae266f40c9d,
+       0xbe5af9331a46c7e0, 0xecbdbea8eaa85aaa},
+      {0x589a3f9186706285, 0x3d5f18c399c32149, 0x5c8cf05fd1396749,
+       0xa55ce713d2a129a9, 0x3b6e528d89e6fb49, 0x49cdc8cd2e3c3251,
+       0x87ca233b26c5f335, 0xf920592d1c1b00e1},
+  };
   std::vector<DigestCase> cases;
   for (int m = 0; m < 4; ++m) {
     for (int d = 0; d < 8; ++d) {
       cases.push_back({meshes[m][0], meshes[m][1], meshes[m][2], kDirs[d],
                        digests[m][d]});
+    }
+  }
+  for (int m = 0; m < 2; ++m) {
+    for (int d = 0; d < 8; ++d) {
+      cases.push_back({pooled_meshes[m][0], pooled_meshes[m][1],
+                       pooled_meshes[m][2], kDirs[d], pooled_digests[m][d]});
     }
   }
   return cases;

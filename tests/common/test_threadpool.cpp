@@ -18,11 +18,46 @@ TEST(ThreadPool, SizeDefaultsToHardware) {
   EXPECT_GE(pool.size(), 1u);
 }
 
+// ---------------------------------------------------------------------------
+// Parallel-for and parallel-reduce shapes, written on ParallelRegion the way
+// the CFD solver writes its kernels: a loop over each worker's
+// Region::Share, and per-worker padded slots folded in worker order once
+// every worker has filled its own (the solver's residual and divergence
+// maxima).
+
+/// fn(begin, end) over each worker's non-empty share of [0, n).
+template <typename Fn>
+void ForShares(ThreadPool& pool, size_t n, Fn&& fn) {
+  pool.ParallelRegion([&](const Region& r) {
+    const auto [b, e] = r.Share(n);
+    if (b < e) fn(b, e);
+  });
+}
+
+/// Each worker maps its share of [0, n) into its own slot (identity when
+/// the share is empty); the slots are folded in worker order after the
+/// region, starting from `identity`.
+template <typename T, typename Map, typename Combine>
+T ReduceShares(ThreadPool& pool, size_t n, T identity, Map&& map,
+               Combine&& combine) {
+  struct alignas(64) Slot {
+    T value;
+  };
+  std::vector<Slot> slots(pool.size(), Slot{identity});
+  pool.ParallelRegion([&](const Region& r) {
+    const auto [b, e] = r.Share(n);
+    if (b < e) slots[r.worker()].value = map(b, e);
+  });
+  T acc = identity;
+  for (const Slot& s : slots) acc = combine(acc, s.value);
+  return acc;
+}
+
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   const size_t n = 10001;
   std::vector<std::atomic<int>> hits(n);
-  pool.ParallelFor(n, [&](size_t b, size_t e) {
+  ForShares(pool, n, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) hits[i].fetch_add(1);
   });
   for (size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
@@ -30,15 +65,21 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
 
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
-  bool called = false;
-  pool.ParallelFor(0, [&](size_t, size_t) { called = true; });
-  EXPECT_FALSE(called);
+  std::atomic<int> bodies{0};
+  std::atomic<bool> visited{false};
+  pool.ParallelRegion([&](const Region& r) {
+    bodies.fetch_add(1);
+    const auto [b, e] = r.Share(0);
+    if (b != e) visited.store(true);
+  });
+  EXPECT_EQ(bodies.load(), 2);  // every worker still runs the body
+  EXPECT_FALSE(visited.load());
 }
 
 TEST(ThreadPool, ParallelForSmallerThanWorkers) {
   ThreadPool pool(8);
   std::atomic<int> total{0};
-  pool.ParallelFor(3, [&](size_t b, size_t e) {
+  ForShares(pool, 3, [&](size_t b, size_t e) {
     total.fetch_add(static_cast<int>(e - b));
   });
   EXPECT_EQ(total.load(), 3);
@@ -46,15 +87,11 @@ TEST(ThreadPool, ParallelForSmallerThanWorkers) {
 
 TEST(ThreadPool, ChunksAreContiguousSlabs) {
   ThreadPool pool(4);
-  std::mutex mu;
-  std::vector<std::pair<size_t, size_t>> chunks;
-  pool.ParallelFor(100, [&](size_t b, size_t e) {
-    std::lock_guard<std::mutex> lk(mu);
-    chunks.push_back({b, e});
-  });
-  std::sort(chunks.begin(), chunks.end());
+  // Plain writes, one slot per worker, read after the region joins.
+  std::vector<std::pair<size_t, size_t>> shares(4, {0, 0});
+  pool.ParallelRegion([&](const Region& r) { shares[r.worker()] = r.Share(100); });
   size_t expect_begin = 0;
-  for (auto& [b, e] : chunks) {
+  for (auto& [b, e] : shares) {
     EXPECT_EQ(b, expect_begin);
     EXPECT_GT(e, b);
     expect_begin = e;
@@ -66,7 +103,7 @@ TEST(ThreadPool, SequentialTasksReuseWorkers) {
   ThreadPool pool(3);
   std::atomic<long> sum{0};
   for (int round = 0; round < 20; ++round) {
-    pool.ParallelFor(1000, [&](size_t b, size_t e) {
+    ForShares(pool, 1000, [&](size_t b, size_t e) {
       long local = 0;
       for (size_t i = b; i < e; ++i) local += static_cast<long>(i);
       sum.fetch_add(local);
@@ -75,17 +112,10 @@ TEST(ThreadPool, SequentialTasksReuseWorkers) {
   EXPECT_EQ(sum.load(), 20L * (999L * 1000L / 2));
 }
 
-TEST(ThreadPool, RunOnAllHitsEveryWorker) {
-  ThreadPool pool(5);
-  std::vector<std::atomic<int>> hits(5);
-  pool.RunOnAll([&](size_t worker) { hits[worker].fetch_add(1); });
-  for (size_t i = 0; i < 5; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
 TEST(ThreadPool, SingleWorkerPool) {
   ThreadPool pool(1);
   std::vector<int> v(100, 0);
-  pool.ParallelFor(v.size(), [&](size_t b, size_t e) {
+  ForShares(pool, v.size(), [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) v[i] = 1;
   });
   EXPECT_EQ(std::accumulate(v.begin(), v.end(), 0), 100);
@@ -96,25 +126,25 @@ TEST(ThreadPool, ResultsMatchSerialReduction) {
   const size_t n = 4096;
   std::vector<double> data(n);
   for (size_t i = 0; i < n; ++i) data[i] = static_cast<double>(i) * 0.5;
+  // Plain per-worker partials: each worker writes only its own.
   std::vector<double> partial(4, 0.0);
-  std::atomic<size_t> slot{0};
-  pool.ParallelFor(n, [&](size_t b, size_t e) {
+  pool.ParallelRegion([&](const Region& r) {
+    const auto [b, e] = r.Share(n);
     double s = 0.0;
     for (size_t i = b; i < e; ++i) s += data[i];
-    partial[slot.fetch_add(1)] = s;
+    partial[r.worker()] = s;
   });
   const double total = std::accumulate(partial.begin(), partial.end(), 0.0);
   EXPECT_DOUBLE_EQ(total, 0.5 * (n - 1) * n / 2.0);
 }
-
 
 TEST(ThreadPool, ParallelReduceSumMatchesSerial) {
   ThreadPool pool(4);
   const size_t n = 8192;
   std::vector<double> data(n);
   for (size_t i = 0; i < n; ++i) data[i] = static_cast<double>(i) * 0.25;
-  const double got = pool.ParallelReduce(
-      n, 0.0,
+  const double got = ReduceShares(
+      pool, n, 0.0,
       [&](size_t b, size_t e) {
         double s = 0.0;
         for (size_t i = b; i < e; ++i) s += data[i];
@@ -131,8 +161,8 @@ TEST(ThreadPool, ParallelReduceIsDeterministicAcrossRepeats) {
   ThreadPool pool(4);
   const size_t n = 5000;
   auto run = [&] {
-    return pool.ParallelReduce(
-        n, 0.0,
+    return ReduceShares(
+        pool, n, 0.0,
         [](size_t b, size_t e) {
           double s = 0.0;
           for (size_t i = b; i < e; ++i) {
@@ -144,66 +174,59 @@ TEST(ThreadPool, ParallelReduceIsDeterministicAcrossRepeats) {
   };
   const double first = run();
   for (int r = 0; r < 10; ++r) {
-    // Fixed chunk boundaries + ascending-worker combine: bitwise stable.
+    // Fixed shares + ascending-worker fold: bitwise stable.
     ASSERT_EQ(run(), first) << "repeat " << r;
   }
 }
 
 TEST(ThreadPool, ParallelReduceEmptyRangeReturnsIdentity) {
   ThreadPool pool(3);
-  const double got = pool.ParallelReduce(
-      0, 42.0, [](size_t, size_t) { return -1.0; },
+  std::atomic<int> maps{0};
+  const double got = ReduceShares(
+      pool, 0, 0.0,
+      [&](size_t, size_t) {
+        maps.fetch_add(1);
+        return -1.0;
+      },
       [](double a, double b) { return a + b; });
-  EXPECT_EQ(got, 42.0);
+  EXPECT_EQ(got, 0.0);
+  EXPECT_EQ(maps.load(), 0);
 }
 
 TEST(ThreadPool, ParallelReduceSmallerThanWorkers) {
   ThreadPool pool(8);
-  const uint64_t got = pool.ParallelReduce(
-      3, uint64_t{0},
+  const uint64_t got = ReduceShares(
+      pool, 3, uint64_t{0},
       [](size_t b, size_t e) { return static_cast<uint64_t>(e - b); },
       [](uint64_t a, uint64_t b) { return a + b; });
   EXPECT_EQ(got, 3u);
 }
 
+// A max does not depend on fold order, so pooled maxima equal the serial
+// one bitwise, whatever the shares (the solver's stats rely on this).
 TEST(ThreadPool, ParallelReduceMax) {
-  ThreadPool pool(4);
   const size_t n = 1000;
   std::vector<double> data(n);
   for (size_t i = 0; i < n; ++i) {
-    data[i] = static_cast<double>((i * 7919) % 1000);
+    data[i] = static_cast<double>((i * 7919) % 1000) * 0.001;
   }
-  const double got = pool.ParallelReduce(
-      n, 0.0,
-      [&](size_t b, size_t e) {
-        double m = 0.0;
-        for (size_t i = b; i < e; ++i) m = std::max(m, data[i]);
-        return m;
-      },
-      [](double a, double b) { return std::max(a, b); });
-  EXPECT_EQ(got, *std::max_element(data.begin(), data.end()));
-}
-
-TEST(ThreadPoolContract, NestedParallelReduceFallsBack) {
-  contract::ResetViolationStats();
-  ThreadPool pool(2);
-  std::atomic<int> inner_total{0};
-  pool.ParallelFor(2, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      const int inner = pool.ParallelReduce(
-          5, 0, [](size_t ib, size_t ie) { return static_cast<int>(ie - ib); },
-          [](int a, int c) { return a + c; });
-      inner_total.fetch_add(inner);
-    }
-  });
-  EXPECT_EQ(inner_total.load(), 2 * 5);
-  EXPECT_GE(contract::ViolationCount(), 1u);
-  contract::ResetViolationStats();
+  for (size_t workers : {1u, 3u, 4u}) {
+    ThreadPool pool(workers);
+    const double got = ReduceShares(
+        pool, n, 0.0,
+        [&](size_t b, size_t e) {
+          double m = 0.0;
+          for (size_t i = b; i < e; ++i) m = std::max(m, data[i]);
+          return m;
+        },
+        [](double a, double b) { return std::max(a, b); });
+    EXPECT_EQ(got, *std::max_element(data.begin(), data.end())) << workers;
+  }
 }
 
 // Exercised under TSan via the "concurrent" ctest label: several external
-// threads submitting to one pool must serialize cleanly on the pool's
-// submit lock with no lost or duplicated range chunks.
+// threads submitting regions to one pool must serialize cleanly on the
+// pool's submit lock with no lost or duplicated shares.
 TEST(ThreadPool, ConcurrentSubmittersSerializeSafely) {
   ThreadPool pool(3);
   constexpr int kSubmitters = 4;
@@ -216,11 +239,11 @@ TEST(ThreadPool, ConcurrentSubmittersSerializeSafely) {
   for (int s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&] {
       for (int round = 0; round < kRounds; ++round) {
-        pool.ParallelFor(kN, [&](size_t b, size_t e) {
+        ForShares(pool, kN, [&](size_t b, size_t e) {
           for_total.fetch_add(e - b, std::memory_order_relaxed);
         });
-        const uint64_t r = pool.ParallelReduce(
-            kN, uint64_t{0},
+        const uint64_t r = ReduceShares(
+            pool, kN, uint64_t{0},
             [](size_t b, size_t e) { return static_cast<uint64_t>(e - b); },
             [](uint64_t a, uint64_t b) { return a + b; });
         reduce_total.fetch_add(r, std::memory_order_relaxed);
@@ -233,47 +256,15 @@ TEST(ThreadPool, ConcurrentSubmittersSerializeSafely) {
             static_cast<uint64_t>(kSubmitters) * kRounds * kN);
 }
 
-TEST(ThreadPoolContract, NestedParallelForFallsBackInsteadOfDeadlocking) {
-  contract::ResetViolationStats();
-  ThreadPool pool(2);
-  std::atomic<int> inner_hits{0};
-  pool.ParallelFor(4, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      // Nesting on the same pool is a contract violation; in return mode
-      // it must degrade to inline execution and still cover the range.
-      pool.ParallelFor(3, [&](size_t ib, size_t ie) {
-        inner_hits.fetch_add(static_cast<int>(ie - ib));
-      });
-    }
-  });
-  EXPECT_EQ(inner_hits.load(), 4 * 3);
-  EXPECT_GE(contract::ViolationCount(), 1u);
-  contract::ResetViolationStats();
-}
-
-TEST(ThreadPoolContract, NestedRunOnAllFallsBack) {
-  contract::ResetViolationStats();
-  ThreadPool pool(2);
-  std::atomic<int> inner_calls{0};
-  pool.RunOnAll([&](size_t) {
-    pool.RunOnAll([&](size_t) { inner_calls.fetch_add(1); });
-  });
-  // Each of the 2 outer workers runs the inner body once, inline.
-  EXPECT_EQ(inner_calls.load(), 2);
-  EXPECT_GE(contract::ViolationCount(), 1u);
-  contract::ResetViolationStats();
-}
-
 TEST(ThreadPoolContract, SiblingPoolsMayNest) {
   contract::ResetViolationStats();
   ThreadPool outer(2), inner(2);
   std::atomic<int> hits{0};
-  outer.ParallelFor(2, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      inner.ParallelFor(2, [&](size_t ib, size_t ie) {
-        hits.fetch_add(static_cast<int>(ie - ib));
-      });
-    }
+  outer.ParallelRegion([&](const Region&) {
+    inner.ParallelRegion([&](const Region& r) {
+      EXPECT_EQ(r.workers(), 2u);  // a full region, not the inline fallback
+      hits.fetch_add(1);
+    });
   });
   EXPECT_EQ(hits.load(), 4);
   EXPECT_EQ(contract::ViolationCount(), 0u);
@@ -393,15 +384,17 @@ TEST(ThreadPoolContract, NestedParallelRegionRunsInline) {
   ThreadPool pool(2);
   std::atomic<int> inner_calls{0};
   std::atomic<int> inner_not_inline{0};
-  pool.ParallelFor(2, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      pool.ParallelRegion([&](const Region& r) {
-        if (r.workers() != 1) inner_not_inline.fetch_add(1);
-        r.Barrier();  // one participant: must not wait for the pool
-        inner_calls.fetch_add(1);
-      });
-    }
+  pool.ParallelRegion([&](const Region& outer) {
+    // Nesting on the same pool is a contract violation; in return mode it
+    // must degrade to inline execution instead of deadlocking.
+    pool.ParallelRegion([&](const Region& r) {
+      if (r.workers() != 1) inner_not_inline.fetch_add(1);
+      r.Barrier();  // one participant: must not wait for the pool
+      inner_calls.fetch_add(1);
+    });
+    outer.Barrier();  // the outer region's barrier still works afterwards
   });
+  // Each of the 2 outer workers runs the inner body once, inline.
   EXPECT_EQ(inner_calls.load(), 2);
   EXPECT_EQ(inner_not_inline.load(), 0);
   EXPECT_GE(contract::ViolationCount(), 1u);

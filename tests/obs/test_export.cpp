@@ -134,7 +134,8 @@ TEST(Exporters, SnapshotWhileWritersMutate) {
 
   std::atomic<bool> stop{false};
   ThreadPool pool(4);
-  pool.RunOnAll([&](size_t worker) {
+  pool.ParallelRegion([&](const Region& region) {
+    const size_t worker = region.worker();
     if (worker == 0) {
       for (int i = 0; i < 50; ++i) {
         const std::string prom = ToPrometheusText(reg.Snapshot());

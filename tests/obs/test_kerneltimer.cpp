@@ -6,6 +6,7 @@
 
 #include "cfd/mesh.hpp"
 #include "cfd/solver.hpp"
+#include "common/threadpool.hpp"
 #include "obs/metrics.hpp"
 
 namespace xg::obs {
@@ -85,6 +86,29 @@ TEST(KernelTimer, SolverRecordsAllKernels) {
   solver.set_kernel_timer(nullptr);
   solver.Step();
   EXPECT_EQ(timer.Count("advect"), 1u);
+
+  // Pooled, above the solver's small-grid cutoff, the step runs on the
+  // workers: still exactly one observation per kernel per step. Only one
+  // worker may open the scopes, so the unsynchronised FakeClock is read
+  // from one thread (under TSan a second reader is a reported race).
+  cfd::MeshParams big;
+  big.nx = 48;
+  big.ny = 40;
+  big.nz = 12;
+  cfd::Mesh big_mesh(big);
+  ThreadPool pool(2);
+  cfd::Solver pooled(big_mesh, cfd::SolverParams{}, &pool);
+  MetricsRegistry pooled_registry;
+  KernelTimer pooled_timer(&pooled_registry, FakeClock{0, 1});
+  pooled.set_kernel_timer(&pooled_timer);
+  pooled.Initialize(cfd::Boundary{});
+  constexpr int kSteps = 3;
+  pooled.Run(kSteps);
+  for (const char* kernel : {"advect", "diffuse_force", "sor", "residual",
+                             "project", "max_divergence"}) {
+    EXPECT_EQ(pooled_timer.Count(kernel), static_cast<uint64_t>(kSteps))
+        << kernel;
+  }
 }
 
 }  // namespace

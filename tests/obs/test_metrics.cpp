@@ -130,7 +130,8 @@ TEST(Registry, ConcurrentIncrementsFromThreadPoolAreExact) {
 
   ThreadPool pool(8);
   constexpr int kPerWorker = 20000;
-  pool.RunOnAll([&](size_t worker) {
+  pool.ParallelRegion([&](const Region& region) {
+    const size_t worker = region.worker();
     // Per-worker labeled counters exercise concurrent registration too.
     Counter& mine = reg.GetCounter(
         "xg_conc_worker_total", {{"worker", std::to_string(worker)}});
@@ -164,7 +165,8 @@ TEST(Registry, SnapshotWhileMutating) {
   Counter& c = reg.GetCounter("xg_race_total");
   std::atomic<bool> stop{false};
   ThreadPool pool(4);
-  pool.RunOnAll([&](size_t worker) {
+  pool.ParallelRegion([&](const Region& region) {
+    const size_t worker = region.worker();
     if (worker == 0) {
       uint64_t last = 0;
       for (int i = 0; i < 200; ++i) {
