@@ -138,6 +138,23 @@ void BM_SimulationEventChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationEventChurn);
 
+// The CSPOT timeout shape: every event is armed, half are cancelled before
+// they fire, and the cancelled keys are dropped lazily by Run.
+void BM_SimulationCancelChurn(benchmark::State& state) {
+  std::vector<sim::EventHandle> handles(1000);
+  for (auto _ : state) {
+    sim::Simulation sim;
+    Rng rng(6);
+    for (auto& h : handles) {
+      h = sim.Schedule(sim::SimTime::Micros(rng.UniformInt(0, 100000)), [] {});
+    }
+    for (size_t i = 0; i < handles.size(); i += 2) sim.Cancel(handles[i]);
+    benchmark::DoNotOptimize(sim.Run());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
+}
+BENCHMARK(BM_SimulationCancelChurn);
+
 void BM_RngGaussian(benchmark::State& state) {
   Rng rng(7);
   for (auto _ : state) {

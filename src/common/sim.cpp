@@ -1,43 +1,99 @@
 #include "common/sim.hpp"
 
-#include <memory>
+#include <algorithm>
+#include <utility>
 
 namespace xg::sim {
+namespace {
+
+// Heap comparator: the earliest (when, seq) is at the front. seq is unique,
+// so this is a total order and the firing order does not depend on how the
+// heap arranges its keys.
+struct Later {
+  template <typename Key>
+  bool operator()(const Key& a, const Key& b) const {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
+  }
+};
+
+}  // namespace
 
 EventHandle Simulation::ScheduleAt(SimTime when, Callback fn) {
   if (when < now_) when = now_;
-  const uint64_t id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-  live_.insert(id);
-  return EventHandle(id);
+  uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.live = true;
+  heap_.push_back(Key{when, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++pending_;
+  return EventHandle(uint64_t{s.gen} << 32 | (uint64_t{slot} + 1));
 }
 
 bool Simulation::Cancel(EventHandle h) {
   // Only events that are still pending (not run, not already cancelled) can
-  // be cancelled; the priority_queue is purged lazily on pop, which skips
-  // any event whose id has left the live set.
-  return h.valid() && live_.erase(h.id_) != 0;
+  // be cancelled. The key stays in the heap until it reaches the top; the
+  // captured callable is dropped now.
+  if (!h.valid()) return false;
+  const uint64_t slot = (h.id_ & 0xffffffffu) - 1;
+  if (slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
+  if (s.gen != static_cast<uint32_t>(h.id_ >> 32) || !s.live) return false;
+  s.live = false;
+  s.fn = nullptr;
+  --pending_;
+  return true;
 }
 
-bool Simulation::PopNext(Event& out) {
-  while (!queue_.empty()) {
-    // priority_queue::top returns const ref; move via const_cast is the
-    // standard idiom but we copy the small struct header and move the fn.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    if (live_.erase(ev.id) == 0) continue;  // cancelled
-    out = std::move(ev);
-    return true;
+void Simulation::PopKey() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+}
+
+// Bumping the generation on release is what makes every handle issued for
+// the slot's previous occupant stale.
+void Simulation::Release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.live = false;
+  ++s.gen;
+  free_.push_back(slot);
+}
+
+bool Simulation::SkipCancelled() {
+  while (!heap_.empty()) {
+    const uint32_t slot = heap_.front().slot;
+    if (slots_[slot].live) return true;
+    PopKey();
+    Release(slot);
   }
   return false;
 }
 
-bool Simulation::Step() {
-  Event ev;
-  if (!PopNext(ev)) return false;
-  now_ = ev.when;
+void Simulation::RunTop() {
+  const Key top = heap_.front();
+  PopKey();
+  // Move the callback out and free its slot first: the callback may
+  // schedule into that slot (or grow the table), and Cancel on its own
+  // handle must return false.
+  Callback fn = std::exchange(slots_[top.slot].fn, nullptr);
+  Release(top.slot);
+  --pending_;
+  now_ = top.when;
   ++executed_;
-  ev.fn();
+  fn();
+}
+
+bool Simulation::Step() {
+  if (!SkipCancelled()) return false;
+  RunTop();
   return true;
 }
 
@@ -49,19 +105,8 @@ size_t Simulation::Run() {
 
 size_t Simulation::RunUntil(SimTime deadline) {
   size_t n = 0;
-  while (!queue_.empty()) {
-    Event ev;
-    // Peek: find the next non-cancelled event without losing it.
-    if (!PopNext(ev)) break;
-    if (ev.when > deadline) {
-      // Put it back (PopNext removed it from the live set) and stop.
-      live_.insert(ev.id);
-      queue_.push(std::move(ev));
-      break;
-    }
-    now_ = ev.when;
-    ++executed_;
-    ev.fn();
+  while (SkipCancelled() && heap_.front().when <= deadline) {
+    RunTop();
     ++n;
   }
   if (now_ < deadline) now_ = deadline;
@@ -69,14 +114,19 @@ size_t Simulation::RunUntil(SimTime deadline) {
 }
 
 namespace {
-// Self-rescheduling callable: each firing enqueues a fresh copy of itself.
+// Self-rescheduling callable. Each firing moves the task into its next
+// event. That is safe because the kernel runs a callback that it has
+// already moved out of its slot, and nothing here reads a member after the
+// move.
 struct PeriodicTask {
   Simulation* sim;
   SimTime period;
   std::function<bool()> fn;
   void operator()() {
     if (!fn()) return;
-    sim->Schedule(period, PeriodicTask{sim, period, fn});
+    Simulation& s = *sim;
+    const SimTime p = period;
+    s.Schedule(p, std::move(*this));
   }
 };
 }  // namespace

@@ -8,8 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace xg::sim {
@@ -48,7 +46,9 @@ class SimTime {
   int64_t us_;
 };
 
-/// Handle that can cancel a scheduled event.
+/// Handle that can cancel a scheduled event: the event's slot in the
+/// kernel's table (plus one, so 0 stays invalid) and the slot's generation
+/// at scheduling time in the high 32 bits.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -64,6 +64,11 @@ class EventHandle {
 ///
 /// Events scheduled for the same instant fire in scheduling order (FIFO tie
 /// break via a monotonically increasing sequence number).
+///
+/// Callbacks live in a slot table recycled through a free list; the heap
+/// orders 24-byte {when, seq, slot} keys. Once the table and heap have grown
+/// to the peak number of queued events, scheduling and cancelling allocate
+/// nothing beyond what the callable itself needs.
 class Simulation {
  public:
   using Callback = std::function<void()>;
@@ -90,37 +95,45 @@ class Simulation {
   /// Execute at most one event. Returns false when the queue is empty.
   bool Step();
 
-  size_t pending() const { return live_.size(); }
+  size_t pending() const { return pending_; }
   uint64_t executed() const { return executed_; }
 
  private:
-  struct Event {
+  // A slot is held from scheduling until its key leaves the heap; `live`
+  // is cleared by Cancel, so a cancelled key still owns its slot until it
+  // pops and its handle cannot match a later event in the same slot.
+  struct Slot {
+    Callback fn;
+    uint32_t gen = 0;
+    bool live = false;
+  };
+  struct Key {
     SimTime when;
     uint64_t seq;
-    uint64_t id;
-    Callback fn;
+    uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  static_assert(sizeof(Key) == 24);
 
-  bool PopNext(Event& out);
+  // Pops cancelled keys off the heap top, releasing their slots; returns
+  // false when no event is left.
+  bool SkipCancelled();
+  // Pops the top key (which must be live) and runs its callback.
+  void RunTop();
+  void PopKey();
+  void Release(uint32_t slot);
 
   SimTime now_{};
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Ids of schedulable events; a queued event whose id is absent was
-  // cancelled and is discarded when it reaches the top.
-  std::unordered_set<uint64_t> live_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;
+  std::vector<Key> heap_;
+  size_t pending_ = 0;
   uint64_t next_seq_ = 1;
-  uint64_t next_id_ = 1;
   uint64_t executed_ = 0;
 };
 
 /// Convenience: schedule `fn` every `period` starting at `start`, until it
-/// returns false or the simulation stops scheduling.
+/// returns false or the simulation stops scheduling. Each firing moves the
+/// task (and `fn`) into its next event rather than copying it.
 void Periodic(Simulation& sim, SimTime start, SimTime period,
               std::function<bool()> fn);
 

@@ -64,8 +64,7 @@ void LoadGenerator::Fire() {
     ++stats_.with_deadline;
   }
   ++stats_.submitted;
-  server_.Submit(req, [this, with_deadline,
-                       opened_us = now](const AdvisoryServer::Response& r) {
+  server_.Submit(req, [this, with_deadline](const AdvisoryServer::Response& r) {
     ++stats_.completed;
     ++stats_.responses[static_cast<int>(r.status)];
     if (r.payload != nullptr) {
@@ -81,7 +80,6 @@ void LoadGenerator::Fire() {
     } else if (with_deadline && r.late) {
       ++stats_.late;
     }
-    (void)opened_us;
   });
 }
 
