@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "obs/kerneltimer.hpp"
@@ -34,42 +35,108 @@ double WindProfile(double z_m) {
 /// cells and lost at 4k; the 48x40x12 fabric mesh has 17.5k).
 constexpr uint64_t kMinPooledCells = 8192;
 
-/// One shell-row span of a red-black sweep: cells first, first + 2, ...,
-/// up to last, all with interior x neighbours, and a diagonal `ap` that is
-/// constant along the row.
-struct ShellRow {
+/// The pressure solve's colour-split layout. Cell (i, j, k) has colour
+/// (i + j + k) & 1 and lives at slot Row(j, k) + (i >> 1) of its colour's
+/// pressure and RHS buffers, half = (nx + 1) / 2 slots per row, so a
+/// colour's cells and every neighbour they read are unit-stride. The four
+/// buffers are the arrays of a field set that is dead for the solve; each
+/// needs nz * ny * half slots, no more than the cell_count() it has.
+struct ColourSplit {
+  ColourSplit(Fields& scratch, const Mesh& mesh)
+      : p{scratch.u.data(), scratch.v.data()},
+        rhs{scratch.w.data(), scratch.t.data()},
+        half(static_cast<size_t>(mesh.nx() + 1) / 2),
+        ny(static_cast<size_t>(mesh.ny())) {}
+
+  size_t Row(int j, int k) const {
+    return (static_cast<size_t>(k) * ny + static_cast<size_t>(j)) * half;
+  }
+
+  double* p[2];
+  double* rhs[2];
+  size_t half, ny;
+};
+
+/// Two doubles in one SSE2 register. A lane op is the scalar op on each
+/// lane, so a kernel written once over T runs two cells per instruction as
+/// V2 and one as double with bit-identical results. GCC's -O2 cost model
+/// does not vectorize the colour sweeps on its own.
+using V2 = double __attribute__((vector_size(16)));
+
+template <typename T>
+T Load(const double* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <typename T>
+void Store(double* p, T v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// body.operator()<V2>(h) on pairs of slots in [first, end), then
+/// body.operator()<double>(h) on an odd last slot.
+template <typename Body>
+void ForLanes(size_t first, size_t end, Body&& body) {
+  size_t h = first;
+  for (; h + 2 <= end; h += 2) body.template operator()<V2>(h);
+  if (h < end) body.template operator()<double>(h);
+}
+
+/// One colour's cells of a pressure row in the colour-split layout. Every
+/// operand of slot h is at index h: `p` and `rhs` are this colour's row,
+/// `xm`/`xp` the other colour's row shifted onto the x- and x+ neighbours,
+/// and `ym` .. `zp` its rows one y or z step away. Span slots [first, end)
+/// have interior x neighbours on both sides.
+struct ColourRow {
   double* p;
-  const double* div;
-  size_t first, last, sy, sz;
+  const double* rhs;
+  const double *xm, *xp, *ym, *yp, *zm, *zp;
+  size_t first, end;
   double cx, cy, cz, ap, omega;
 };
+
+/// The core span: all six neighbours interior and the constant diagonal
+/// `ap`. Neighbours of one colour are all of the other, so they are
+/// loop-invariant within the sweep: opposite faces pair before scaling.
+void CoreSpan(const ColourRow& row) {
+  const ColourRow r = row;  // a local copy, which the stores cannot alias
+  const double inv_ap = 1.0 / r.ap;
+  ForLanes(r.first, r.end, [&]<typename T>(size_t h) {
+    const T sum = r.cx * (Load<T>(r.xm + h) + Load<T>(r.xp + h)) +
+                  r.cy * (Load<T>(r.ym + h) + Load<T>(r.yp + h)) +
+                  r.cz * (Load<T>(r.zm + h) + Load<T>(r.zp + h));
+    const T p = Load<T>(r.p + h);
+    Store(r.p + h, p + r.omega * ((sum - Load<T>(r.rhs + h)) * inv_ap - p));
+  });
+}
 
 /// Which y/z neighbours of a shell row are interior cells.
 constexpr unsigned kShellYm = 1, kShellYp = 2, kShellZm = 4, kShellZp = 8;
 
 /// The general-cell update for a shell-row span with its neighbour set
 /// fixed at compile time: the same accumulation order and the same
-/// (sum - div) / ap and (1 - omega) p + omega p_gs arithmetic, so results
+/// (sum - rhs) / ap and (1 - omega) p + omega p_gs arithmetic, so results
 /// are bit-identical to the per-cell form, without its per-cell branches
 /// and index arithmetic.
 template <unsigned kMask>
-void ShellSpan(const ShellRow& r) {
-  double* XG_RESTRICT p = r.p;
-  const double* XG_RESTRICT div = r.div;
-  for (size_t c = r.first; c <= r.last; c += 2) {
-    double sum = 0.0;
-    sum += r.cx * p[c - 1];
-    sum += r.cx * p[c + 1];
-    if constexpr ((kMask & kShellYm) != 0) sum += r.cy * p[c - r.sy];
-    if constexpr ((kMask & kShellYp) != 0) sum += r.cy * p[c + r.sy];
-    if constexpr ((kMask & kShellZm) != 0) sum += r.cz * p[c - r.sz];
-    if constexpr ((kMask & kShellZp) != 0) sum += r.cz * p[c + r.sz];
-    const double p_gs = (sum - div[c]) / r.ap;
-    p[c] = (1.0 - r.omega) * p[c] + r.omega * p_gs;
-  }
+void ShellSpan(const ColourRow& row) {
+  const ColourRow r = row;
+  ForLanes(r.first, r.end, [&]<typename T>(size_t h) {
+    T sum{};
+    sum += r.cx * Load<T>(r.xm + h);
+    sum += r.cx * Load<T>(r.xp + h);
+    if constexpr ((kMask & kShellYm) != 0) sum += r.cy * Load<T>(r.ym + h);
+    if constexpr ((kMask & kShellYp) != 0) sum += r.cy * Load<T>(r.yp + h);
+    if constexpr ((kMask & kShellZm) != 0) sum += r.cz * Load<T>(r.zm + h);
+    if constexpr ((kMask & kShellZp) != 0) sum += r.cz * Load<T>(r.zp + h);
+    const T p_gs = (sum - Load<T>(r.rhs + h)) / r.ap;
+    Store(r.p + h, (1.0 - r.omega) * Load<T>(r.p + h) + r.omega * p_gs);
+  });
 }
 
-using ShellSpanFn = void (*)(const ShellRow&);
+using ShellSpanFn = void (*)(const ColourRow&);
 
 template <unsigned... kMasks>
 constexpr std::array<ShellSpanFn, sizeof...(kMasks)> MakeShellSpans(
@@ -88,7 +155,6 @@ Solver::Solver(const Mesh& mesh, SolverParams params, ThreadPool* pool)
   cur_.Assign(n);
   prev_.Assign(n);
   p_.assign(n, 0.0);
-  div_.assign(n, 0.0);
 
   // Bake the porous-media terms into per-cell arrays so the diffusion
   // kernel never consults geometry: drag coefficient per cell and the
@@ -278,13 +344,16 @@ void Solver::Advect(size_t rb, size_t re) {
     for (size_t c = cb; c < ce; ++c) {
       const double uu = u0[c], vv = v0[c], ww = w0[c];
       const auto upwind = [&](const double* XG_RESTRICT fld) {
-        // First-order upwind derivative along each axis.
-        const double dfx = uu >= 0 ? (fld[c] - fld[c - sx]) * idx
-                                   : (fld[c + sx] - fld[c]) * idx;
-        const double dfy = vv >= 0 ? (fld[c] - fld[c - sy]) * idy
-                                   : (fld[c + sy] - fld[c]) * idy;
-        const double dfz = ww >= 0 ? (fld[c] - fld[c - sz]) * idz
-                                   : (fld[c + sz] - fld[c]) * idz;
+        // First-order upwind derivative along each axis: both one-sided
+        // slopes, then a select by the velocity's sign. No arithmetic sits
+        // under a condition, which keeps this stencil inlined in the loop.
+        const double f = fld[c];
+        const double bx = (f - fld[c - sx]) * idx, fx = (fld[c + sx] - f) * idx;
+        const double by = (f - fld[c - sy]) * idy, fy = (fld[c + sy] - f) * idy;
+        const double bz = (f - fld[c - sz]) * idz, fz = (fld[c + sz] - f) * idz;
+        const double dfx = uu >= 0 ? bx : fx;
+        const double dfy = vv >= 0 ? by : fy;
+        const double dfz = ww >= 0 ? bz : fz;
         return uu * dfx + vv * dfy + ww * dfz;
       };
       u[c] = u0[c] - dt * upwind(u0);
@@ -367,44 +436,50 @@ void Solver::SolvePressure(const Region& region) {
   double wx, wy;
   WindVector(wx, wy);
   double* XG_RESTRICT p = p_.data();
-  double* XG_RESTRICT div = div_.data();
 
-  // Red-black SOR. Outflow lateral faces carry Dirichlet p = 0 ghosts (an
+  // Red-black SOR on the colour-split layout (ColourSplit) in prev_, whose
+  // arrays are dead from DiffuseAndForce until the next Advect rewrites
+  // every cell. Outflow lateral faces carry Dirichlet p = 0 ghosts (an
   // all-Neumann problem would be singular); inflow, ground, and top faces
   // are Neumann. Cells whose six neighbors are all interior share one
-  // constant diagonal, so the bulk of each sweep runs a branch-free
-  // stride-2 span multiplying by the precomputed reciprocal diagonal.
-  // Shell rows (next to a y or z face, or every row when nx < 6) run the
-  // row-constant span (ShellSpan) with the diagonal and neighbour set of
+  // constant diagonal, so the bulk of each sweep runs the branch-free
+  // CoreSpan. Shell rows (next to a y or z face, or every row when nx < 6)
+  // run the row-constant ShellSpan with the diagonal and neighbour set of
   // the row; only the two row ends take the general wind-dependent form
-  // (where the division also guards ap == 0).
+  // (where the division also guards ap == 0). The sweeps read interior
+  // cells only, so the buffers' boundary and padding slots are never read.
+  const ColourSplit split(prev_, mesh_);
+  const size_t hy = split.half, hz = split.half * static_cast<size_t>(ny);
   const double ap_core = cx + cx + cy + cy + cz + cz;
-  const double inv_ap_core = 1.0 / ap_core;
-  const auto general_cell = [&](int i, int j, int k) {
-    const size_t c = mesh_.Index(i, j, k);
+  const auto general_cell = [&](const ColourRow& r, size_t h, int i, int j,
+                                int k) {
     double ap = 0.0, sum = 0.0;
     // x- neighbor
-    if (i > 1) { ap += cx; sum += cx * p[c - sx]; }
+    if (i > 1) { ap += cx; sum += cx * r.xm[h]; }
     else if (wx <= 0) { ap += cx; }  // Dirichlet ghost p=0 (outflow)
-    if (i < nx - 2) { ap += cx; sum += cx * p[c + sx]; }
+    if (i < nx - 2) { ap += cx; sum += cx * r.xp[h]; }
     else if (wx >= 0) { ap += cx; }
-    if (j > 1) { ap += cy; sum += cy * p[c - sy]; }
+    if (j > 1) { ap += cy; sum += cy * r.ym[h]; }
     else if (wy <= 0) { ap += cy; }
-    if (j < ny - 2) { ap += cy; sum += cy * p[c + sy]; }
+    if (j < ny - 2) { ap += cy; sum += cy * r.yp[h]; }
     else if (wy >= 0) { ap += cy; }
-    if (k > 1) { ap += cz; sum += cz * p[c - sz]; }
-    if (k < nz - 2) { ap += cz; sum += cz * p[c + sz]; }
+    if (k > 1) { ap += cz; sum += cz * r.zm[h]; }
+    if (k < nz - 2) { ap += cz; sum += cz * r.zp[h]; }
     if (ap <= 0.0) return;
-    const double p_gs = (sum - div[c]) / ap;
-    p[c] = (1.0 - omega) * p[c] + omega * p_gs;
+    const double p_gs = (sum - r.rhs[h]) / ap;
+    r.p[h] = (1.0 - omega) * r.p[h] + omega * p_gs;
   };
-  // One colour's cells of row (j, k): those with (i & 1) == par.
+  // One colour's cells of row (j, k): those with (i & 1) == par, at slots
+  // h = i >> 1. The span is i = 2 + par .. nx - 3, slots 1 .. end - 1.
   const auto sweep_row = [&](int j, int k, int color) {
     const int par = (color ^ ((j + k) & 1)) & 1;
-    if (par == 1) general_cell(1, j, k);
-    const size_t row = mesh_.Index(0, j, k);
-    const size_t first = row + 2 + static_cast<size_t>(par);
-    const size_t last = row + static_cast<size_t>(nx - 3);
+    const size_t row = split.Row(j, k);
+    const double* o = split.p[color ^ 1] + row;
+    ColourRow r{split.p[color] + row, split.rhs[color] + row,
+                o + par - 1, o + par, o - hy, o + hy, o - hz, o + hz,
+                1, static_cast<size_t>((nx - 1 - par) / 2),
+                cx, cy, cz, ap_core, omega};
+    if (par == 1) general_cell(r, 0, 1, j, k);
     if (nx < 6 || k == 1 || k == nz - 2 || j == 1 || j == ny - 2) {
       // The span cells' x neighbours are interior; the row fixes which
       // y/z neighbours are, and the diagonal accumulates them in
@@ -416,25 +491,19 @@ void Solver::SolvePressure(const Region& region) {
       if (j < ny - 2 || wy >= 0) ap += cy;
       if (k > 1) ap += cz;
       if (k < nz - 2) ap += cz;
+      r.ap = ap;
       const unsigned mask = (j > 1 ? kShellYm : 0u) |
                             (j < ny - 2 ? kShellYp : 0u) |
                             (k > 1 ? kShellZm : 0u) |
                             (k < nz - 2 ? kShellZp : 0u);
-      kShellSpans[mask](ShellRow{p, div, first, last, sy, sz, cx, cy, cz,
-                                 ap, omega});
+      kShellSpans[mask](r);
     } else {
-      for (size_t c = first; c <= last; c += 2) {
-        // Neighbors of a red cell are all black (and vice versa), so
-        // they are loop-invariant within the sweep: pair the opposite
-        // faces before scaling.
-        const double sum = cx * (p[c - sx] + p[c + sx]) +
-                           cy * (p[c - sy] + p[c + sy]) +
-                           cz * (p[c - sz] + p[c + sz]);
-        p[c] += omega * ((sum - div[c]) * inv_ap_core - p[c]);
-      }
+      CoreSpan(r);
     }
     // At nx = 3 the one interior cell is both row ends, done above.
-    if (((nx - 2) & 1) == par && nx > 3) general_cell(nx - 2, j, k);
+    if (((nx - 2) & 1) == par && nx > 3) {
+      general_cell(r, static_cast<size_t>((nx - 2) >> 1), nx - 2, j, k);
+    }
   };
 
   // Each participant owns a fixed, balanced run of (j, k) rows for the RHS
@@ -442,9 +511,9 @@ void Solver::SolvePressure(const Region& region) {
   // k-fastest here, so a run is a slab of whole j columns and neighbouring
   // participants share an nx-by-nz face (the smaller one on the fabric
   // mesh). A colour only reads the other colour, so its rows are
-  // independent and the only synchronisation is one barrier between
-  // consecutive sweeps; the RHS needs none, since each cell's div is
-  // written and read by the participant owning its row.
+  // independent and the only synchronisation is one barrier before each
+  // sweep: the first one orders the gather of every participant's rows
+  // before any sweep reads them.
   const int col_len = nz - 2;
   const int sweeps = 2 * std::max(0, params_.poisson_iters);
   const auto [rb, re] = region.Share(interior_rows_);
@@ -460,23 +529,37 @@ void Solver::SolvePressure(const Region& region) {
       }
     }
   };
-  // RHS: divergence of the provisional velocity / dt.
+  // RHS (divergence of the provisional velocity / dt) and the warm start
+  // from p_, both split by colour.
   const double* XG_RESTRICT u = cur_.u.data();
   const double* XG_RESTRICT v = cur_.v.data();
   const double* XG_RESTRICT w = cur_.w.data();
   for_rows([&](int j, int k) {
+    const size_t row = split.Row(j, k);
     size_t c = mesh_.Index(1, j, k);
     for (int i = 1; i < nx - 1; ++i, ++c) {
-      div[c] = ((u[c + sx] - u[c - sx]) * idx2 +
-                (v[c + sy] - v[c - sy]) * idy2 +
-                (w[c + sz] - w[c - sz]) * idz2) /
-               dt;
+      const int color = (i + j + k) & 1;
+      const size_t h = row + static_cast<size_t>(i >> 1);
+      split.rhs[color][h] = ((u[c + sx] - u[c - sx]) * idx2 +
+                             (v[c + sy] - v[c - sy]) * idy2 +
+                             (w[c + sz] - w[c - sz]) * idz2) /
+                            dt;
+      split.p[color][h] = p[c];
     }
   });
   for (int sweep = 0; sweep < sweeps; ++sweep) {
-    if (sweep > 0) region.Barrier();
+    region.Barrier();
     for_rows([&](int j, int k) { sweep_row(j, k, sweep & 1); });
   }
+  // Scatter back. This participant wrote every cell of its rows itself,
+  // both colours, and the others only read them now, so no barrier.
+  for_rows([&](int j, int k) {
+    const size_t row = split.Row(j, k);
+    size_t c = mesh_.Index(1, j, k);
+    for (int i = 1; i < nx - 1; ++i, ++c) {
+      p[c] = split.p[(i + j + k) & 1][row + static_cast<size_t>(i >> 1)];
+    }
+  });
 }
 
 void Solver::MirrorPressure() {
@@ -504,7 +587,7 @@ void Solver::MirrorPressure() {
   }
 }
 
-double Solver::PoissonResidual(size_t rb, size_t re) const {
+double Solver::PoissonResidual(size_t rb, size_t re) {
   const double cx = 1.0 / (mesh_.dx() * mesh_.dx());
   const double cy = 1.0 / (mesh_.dy() * mesh_.dy());
   const double cz = 1.0 / (mesh_.dz() * mesh_.dz());
@@ -512,14 +595,20 @@ double Solver::PoissonResidual(size_t rb, size_t re) const {
   const size_t sx = 1, sy = static_cast<size_t>(nx),
                sz = static_cast<size_t>(nx) * static_cast<size_t>(ny);
   const double* XG_RESTRICT p = p_.data();
-  const double* XG_RESTRICT div = div_.data();
+  // The RHS is still in the colour-split buffers of the solve.
+  const ColourSplit split(prev_, mesh_);
   double local = 0.0;
   ForRows(rb, re, [&](size_t cb, size_t ce) {
+    const size_t line = cb / sy;  // k * ny + j
+    const size_t row_par = line / split.ny + line % split.ny;  // j + k
+    const double* const rhs[2] = {split.rhs[0] + line * split.half,
+                                  split.rhs[1] + line * split.half};
     for (size_t c = cb; c < ce; ++c) {
+      const size_t i = c - line * sy;
       const double lap = cx * (p[c + sx] - 2 * p[c] + p[c - sx]) +
                          cy * (p[c + sy] - 2 * p[c] + p[c - sy]) +
                          cz * (p[c + sz] - 2 * p[c] + p[c - sz]);
-      local = std::max(local, std::abs(lap - div[c]));
+      local = std::max(local, std::abs(lap - rhs[(i + row_par) & 1][i >> 1]));
     }
   });
   return local;

@@ -22,7 +22,10 @@
 // from the current one and DiffuseAndForce writes it back, instead of
 // copying five full vectors per step, and each stage ends with one fused
 // boundary sweep. Per-cell type, drag, and heat-source arrays are
-// precomputed so no geometry predicate runs inside a kernel.
+// precomputed so no geometry predicate runs inside a kernel. The pressure
+// solve splits pressure and RHS by red-black colour into prev_'s arrays,
+// which are dead between DiffuseAndForce and the next Advect, so every
+// sweep operand is unit-stride; pressure() stays in the natural layout.
 //
 // The solver runs on a ThreadPool: each Run(n) is one parallel region.
 // Every participant keeps a fixed share of the interior (j, k) rows for all
@@ -149,9 +152,10 @@ class Solver {
   void DiffuseAndForce(size_t rb, size_t re);
   void Project(size_t rb, size_t re);
   /// Max |Ap - b| and max |div u| over interior rows [rb, re).
-  double PoissonResidual(size_t rb, size_t re) const;
+  double PoissonResidual(size_t rb, size_t re);
   double MaxDivergence(size_t rb, size_t re) const;
-  /// Pressure RHS and every red-black sweep over this participant's rows.
+  /// Pressure RHS and every red-black sweep over this participant's rows,
+  /// in the colour-split buffers that borrow prev_'s arrays.
   void SolvePressure(const Region& region);
   /// Mirror pressure onto boundary cells for the gradient step.
   void MirrorPressure();
@@ -170,7 +174,7 @@ class Solver {
   obs::KernelTimer* timer_ = nullptr;
   Boundary bc_;
   Fields cur_, prev_;
-  std::vector<double> p_, div_;
+  std::vector<double> p_;
   /// Per-cell porous drag coefficient (0 for fluid cells) and per-step
   /// canopy heat increment, baked from mesh cell types and params.
   std::vector<double> cell_drag_, cell_heat_;

@@ -168,6 +168,45 @@ TEST(SolverGolden, SerialAndPooledFieldsAgreeBitwise) {
   }
 }
 
+// Initialize must reset every piece of state a run reads: a solver that has
+// already stepped under another boundary, re-initialized, has to step
+// exactly like a fresh one (the pressure solve's warm start comes from
+// pressure(), and its scratch buffers must carry nothing over). The mesh is
+// above the small-grid cutoff so the 2-worker pool runs the step.
+TEST(SolverGolden, ReinitializeMatchesFreshSolverBitwise) {
+  MeshParams mp;
+  mp.nx = 47;
+  mp.ny = 41;
+  mp.nz = 12;
+  Mesh mesh(mp);
+  constexpr int kReinitSteps = 12;
+  for (size_t workers : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    ThreadPool pool(workers == 0 ? 1 : workers);
+    ThreadPool* const use = workers == 0 ? nullptr : &pool;
+    Solver reused(mesh, SolverParams{}, use);
+    reused.Initialize(GoldenCase(0).bc);
+    reused.Run(kReinitSteps);
+    const uint64_t updates_before = reused.total_cell_updates();
+    reused.Initialize(GoldenCase(1).bc);
+    const StepStats got = reused.Run(kReinitSteps);
+
+    Solver fresh(mesh, SolverParams{}, use);
+    fresh.Initialize(GoldenCase(1).bc);
+    const StepStats want = fresh.Run(kReinitSteps);
+
+    ASSERT_EQ(reused.u(), fresh.u());
+    ASSERT_EQ(reused.v(), fresh.v());
+    ASSERT_EQ(reused.w(), fresh.w());
+    ASSERT_EQ(reused.temperature(), fresh.temperature());
+    ASSERT_EQ(reused.pressure(), fresh.pressure());
+    EXPECT_EQ(Bits(got.max_divergence), Bits(want.max_divergence));
+    EXPECT_EQ(Bits(got.poisson_residual), Bits(want.poisson_residual));
+    // The update count is cumulative over the solver's life.
+    EXPECT_EQ(got.cell_updates - updates_before, want.cell_updates);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Bitwise field digests.
 //
@@ -184,9 +223,11 @@ TEST(SolverGolden, SerialAndPooledFieldsAgreeBitwise) {
 // fabric mesh, a small nz (whole rows of shell cells), and nx < 6 (every
 // row takes the shell path, nx = 3 has one interior column whose two row
 // ends coincide). The last three are under the solver's small-grid cutoff
-// and run serially on any pool, so two meshes above it carry the same edge
-// cases onto the workers: 5x300x12 (nx < 6, every row a shell row) and
-// 4100x3x4 (two interior rows, so pools of 3 and 4 have empty shares).
+// and run serially on any pool, so three meshes above it carry the same
+// edge cases onto the workers: 5x300x12 (nx < 6, every row a shell row),
+// 4100x3x4 (two interior rows, so pools of 3 and 4 have empty shares) and
+// 47x41x12 (odd nx and ny with core rows: in the colour-split pressure
+// buffers one colour of every row ends in a padding slot).
 
 constexpr int kDigestSteps = 40;
 
@@ -272,15 +313,19 @@ std::vector<DigestCase> DigestCases() {
        0x82835889935c331d, 0xbc73d6ae0f01fbdd, 0x5d361ce5a2130f7d,
        0x160fc7a53d185469, 0x73d578e3006a0765},
   };
-  // Recorded from the solver before the step became one region.
-  const int pooled_meshes[][3] = {{5, 300, 12}, {4100, 3, 4}};
-  const uint64_t pooled_digests[2][8] = {
+  // Recorded from the solver before the step became one region, except
+  // the odd-width 47x41x12 row, recorded before the colour-split SOR.
+  const int pooled_meshes[][3] = {{5, 300, 12}, {4100, 3, 4}, {47, 41, 12}};
+  const uint64_t pooled_digests[3][8] = {
       {0x6781d337ede5bebd, 0xb41a57fa8cf499a5, 0x2b18a66a8725102a,
        0x1e498748777620b6, 0x22619f151236bcef, 0xe6a68ae266f40c9d,
        0xbe5af9331a46c7e0, 0xecbdbea8eaa85aaa},
       {0x589a3f9186706285, 0x3d5f18c399c32149, 0x5c8cf05fd1396749,
        0xa55ce713d2a129a9, 0x3b6e528d89e6fb49, 0x49cdc8cd2e3c3251,
        0x87ca233b26c5f335, 0xf920592d1c1b00e1},
+      {0x7da6809a26fa6922, 0xdd5c6dc7084d6f54, 0xc8cf603bbef5644d,
+       0x117cb7d7691db136, 0x08dec14f40e3755c, 0x36512685a4293f6d,
+       0x6034f75cf3d1cd0a, 0xe8e12a3e44b8de24},
   };
   std::vector<DigestCase> cases;
   for (int m = 0; m < 4; ++m) {
@@ -289,7 +334,7 @@ std::vector<DigestCase> DigestCases() {
                        digests[m][d]});
     }
   }
-  for (int m = 0; m < 2; ++m) {
+  for (int m = 0; m < 3; ++m) {
     for (int d = 0; d < 8; ++d) {
       cases.push_back({pooled_meshes[m][0], pooled_meshes[m][1],
                        pooled_meshes[m][2], kDirs[d], pooled_digests[m][d]});
